@@ -131,8 +131,10 @@ class DensityProfile:
         return float(v) if np.isscalar(x) else v
 
     def exported_values(self) -> np.ndarray:
+        """Values clipped at 0; raises below -max(stated tolerance, 1e-10)."""
         v = np.asarray(self.values)
-        if np.any(v < -1e-10):
+        floor = max(self.tolerance or 0.0, 1e-10)
+        if np.any(v < -floor):
             raise NumericalError("density profile has negative values beyond round-off")
         return np.maximum(v, 0.0)
 

@@ -8,21 +8,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .boxspline import density_profile, phi
-from .errors import BoxgapError
+from .errors import BoxgapError, ValidationError
 from .gap import (
-    GapReport,
-    ThresholdReport,
     _expectation,
+    _probe,
     confirm_counterexample,
     gap as gap_report,
     minimize_gap,
     scan_random,
-    threshold_probe,
 )
 from .io import dumps_csv, dumps_json, format_float, write_text
 from .rademacher import f_function
@@ -93,6 +90,10 @@ def cmd_eval(args) -> int:
     A = _weights_from(args)
     if args.grid is not None:
         start, stop, step = (float(t) for t in args.grid.split(":"))
+        if not (np.isfinite([start, stop]).all() and 0 < step < np.inf
+                and start <= stop):
+            raise ValidationError(
+                f"bad grid {args.grid!r}: need finite START <= STOP and STEP > 0")
         grid = np.arange(start, stop + step / 2.0, step)
     else:
         at = center(A) if args.at == "center" else float(args.at)
@@ -168,30 +169,12 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    ns = _parse_int_range(args.n)
-
-    def one(n: int):
-        return threshold_probe(args.c0, args.family, [n],
-                               trials_per_n=args.trials, seed=args.seed,
-                               tol=args.tol).rows[0]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, ns))  # ordered merge: map preserves order
-    else:
-        rows = [one(n) for n in ns]
-    n0 = None
-    for row in reversed(rows):
-        if row.min_slack >= -row.slack_tol:
-            n0 = row.n
-        else:
-            break
-    report = ThresholdReport(c0=args.c0, family_kind=args.family,
-                                    n_range=(ns[0], ns[-1]), rows=rows,
-                                    empirical_N0=n0)
+    report = _probe(args.c0, args.family, _parse_int_range(args.n),
+                    args.trials, args.seed, args.tol, f_tol=1e-4,
+                    threads=args.threads)
     csv_text = dumps_csv(
         ("n", "min_gap", "min_slack", "slack_tol"),
-        ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in rows))
+        ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in report.rows))
     _emit(args, dumps_json(report), csv_text)
     return EXIT_OK
 

@@ -10,17 +10,18 @@ the proof-route slack max B - 1/F(a_n^-2).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .boxspline import TRUNCATED_POWER_CAP, max_value
+from .boxspline import TRUNCATED_POWER_CAP, _resolve_method, max_value
 from .errors import ValidationError
-from .rademacher import ENUM_CAP, exact_expectation, khinchine_bounds, mc_expectation
+from .rademacher import ENUM_CAP, exact_expectation, f_function, mc_expectation
+from .saddlepoint import GAUSS_PEAK
 from .weights import FamilySpec, WeightVector, center, generate, make_unit, ratio
 
-GAUSS_PEAK = math.sqrt(6.0 / math.pi)
 RECIP_LIMIT = math.sqrt(math.pi / 2.0)  # limit of 1/F(s)
 
 _DEFAULT_MC_SAMPLES = 4 * 10**5
@@ -74,18 +75,17 @@ def gap(A: WeightVector, phi_method: str = "auto", exp_method: str = "auto",
         f_tol: float = 1e-4, mc_samples: int = _DEFAULT_MC_SAMPLES,
         seed: int = 0) -> GapReport:
     """Gap report with both the true gap and the F(a_n^-2) lower-bound gap."""
+    phi_method = _resolve_method(A, phi_method)
     phi0 = max_value(A, phi_method)
     summary = _expectation(A, exp_method, mc_samples, seed)
     g = phi0 * summary.expectation - 1.0
-    kb = khinchine_bounds(A, f_tol)
-    lower = phi0 * kb.f_of_an - 1.0
-    phi_err = 1e-9 if A.n <= TRUNCATED_POWER_CAP else 1e-5
+    f_an, _ = f_function(float(A.a[-1]) ** -2, f_tol)
+    lower = phi0 * f_an - 1.0
+    phi_err = 1e-9 if phi_method == "truncated_power" else 1e-5
     exp_err = 4.0 * summary.stderr if summary.stderr is not None else 1e-12
     tol = phi_err * summary.expectation + phi0 * exp_err + 1e-12
-    resolved_phi = ("truncated_power" if A.n <= TRUNCATED_POWER_CAP
-                    else "convolution") if phi_method == "auto" else phi_method
     return GapReport(A=A, phi0=phi0, expectation=summary.expectation, gap=g,
-                     phi_method=resolved_phi, exp_method=summary.method,
+                     phi_method=phi_method, exp_method=summary.method,
                      lower_bound_gap=lower, tolerance=tol)
 
 
@@ -200,7 +200,7 @@ class ThresholdRow:
     min_gap: float
     argmin: WeightVector
     min_slack: float  # proof-route slack: max B - 1/F(a_n^-2)
-    slack_tol: float  # certified quadrature error propagated through 1/F
+    slack_tol: float  # tol plus the stated F error propagated through 1/F
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "min_gap": self.min_gap,
@@ -234,13 +234,19 @@ def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50
     asymptotic argument certifies; it can be negative at small n even where
     the true gap is positive, and both are reported.
     """
+    return _probe(c0, family_kind, n_range, trials_per_n, seed, tol, f_tol)
+
+
+def _probe(c0: float, family_kind: str, n_range, trials_per_n: int, seed: int,
+           tol: float, f_tol: float, threads: int = 1) -> ThresholdReport:
+    """threshold_probe with its rows computed on `threads` threads."""
     if c0 < 1.0:
         raise ValidationError("c0 must be >= 1")
     ns = list(n_range)
     if not ns:
         raise ValidationError("n range is empty")
-    rows = []
-    for n in ns:
+
+    def row(n: int) -> ThresholdRow:
         if family_kind == "random" and n > 1:
             seeds = np.random.SeedSequence([int(seed), n]).generate_state(trials_per_n)
             vecs = [generate(FamilySpec("random", n, c0=c0, seed=int(s)))
@@ -256,24 +262,25 @@ def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50
         slack_tol = tol
         for A in vecs:
             phi0 = max_value(A)
-            g = phi0 * exact_expectation(A).expectation - 1.0 \
-                if A.n <= ENUM_CAP else gap(A, f_tol=f_tol).gap
-            kb = khinchine_bounds(A, f_tol)
-            slack = phi0 - 1.0 / kb.f_of_an
+            g = phi0 * _expectation(A, "auto", _DEFAULT_MC_SAMPLES, 0).expectation - 1.0
+            f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
+            slack = phi0 - 1.0 / f_an
             if g < min_gap:
                 min_gap, argmin = g, A
             if slack < min_slack:
                 min_slack = slack
-                # 1/F error propagated from the certified quadrature error
-                slack_tol = tol + kb.quad_error / kb.f_of_an**2
-        rows.append(ThresholdRow(n=n, min_gap=min_gap, argmin=argmin,
-                                 min_slack=min_slack, slack_tol=slack_tol))
-    # least n such that the slack is non-negative (within the certified
-    # quadrature error) there and at every larger n
+                # 1/F error propagated from the stated F error
+                slack_tol = tol + f_err / f_an**2
+        return ThresholdRow(n=n, min_gap=min_gap, argmin=argmin,
+                            min_slack=min_slack, slack_tol=slack_tol)
+
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        rows = list(pool.map(row, ns))  # map keeps n order: same at any count
+    # least n with slack >= -slack_tol there and at every larger n
     n0 = None
-    for row in reversed(rows):
-        if row.min_slack >= -row.slack_tol:
-            n0 = row.n
+    for r in reversed(rows):
+        if r.min_slack >= -r.slack_tol:
+            n0 = r.n
         else:
             break
     return ThresholdReport(c0=c0, family_kind=family_kind,

@@ -2,6 +2,16 @@
 
 F(s) = (2/pi) int_0^inf (1 - |cos(t/sqrt(s))|^s) t^-2 dt is increasing with
 limit sqrt(2/pi), and E|sum a_k e_k| >= sum a_k^2 F(a_k^-2) >= F(a_n^-2).
+
+F comes from Haagerup's series (The best constants in the Khintchine
+inequality, 1981), F(s) = (2/sqrt(s)) sum_{m>=1} m c_m, where
+c_m = 2 Gamma(s+1) / (2^s Gamma(s/2+m+1) Gamma(s/2-m+1)) is the cos(2mu)
+coefficient of |cos u|^s.  The head m <= s/2 is a finite positive sum.  Past
+s/2 the terms alternate (for even s they vanish) and b_m = |m c_m| decreases,
+since b_{m+1}/b_m = (m+1)(m-s/2)/(m(m+s/2+1)) < 1, and is log-convex; so the
+mean of the partial sums through J-1 and J is within (b_J - b_{J+1})/2 of the
+limit, which takes about tol^(-1/(s+1)) terms.  The stated error adds a
+round-off bound that scales with the magnitudes of the gammaln terms.
 """
 
 from __future__ import annotations
@@ -10,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from ._num import fsum, gl_panels
+from ._num import fsum
 from .errors import CapabilityError, DomainError, ValidationError
 from .weights import WeightVector
 
@@ -88,120 +99,114 @@ def mc_expectation(A: WeightVector, samples: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# F(s) quadrature
+# F(s): Haagerup's cosine series
 
-_BUMP_SPLIT = 64.0   # above this s, isolate the |cos|^s bumps
-_BUMP_HALF_WIDTH = 12.0  # |cos u|^s <= exp(-d^2/2) in bump coordinates
+_EPS = float(np.finfo(np.float64).eps)
+_LN2 = math.log(2.0)
+_HEAD_WIDTH = 8.0  # head terms past m = 8 sqrt(s) are below exp(-128) of the peak
+_S_MAX = 1e9  # keeps the head below 2.6e5 terms; round-off there is ~3e-5
 
 
-def _log_abs_cos(u: np.ndarray) -> np.ndarray:
-    """ln|cos(u)| with a series branch so tiny u do not round to ln(1)."""
-    c = np.abs(np.cos(u))
+def _terms(s: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed terms m c_m and bounds on their round-off, formed in log space.
+
+    For m > s/2 the reflection formula replaces 1/Gamma(s/2-m+1); its sine is
+    taken of the exact fraction s/2 - round(s/2), so s = 2k +- ulp is safe.
+    """
+    h = 0.5 * s
+    m = np.asarray(m, dtype=np.float64)
+    head = m <= h
+    k = round(h)
+    frac = h - k  # exact: |frac| <= 1/2 and h, k share the grid of h
     with np.errstate(divide="ignore"):
-        out = np.log(c)
-    small = np.abs(u) < 1e-4
-    us = u[small]
-    out[small] = -us * us / 2.0 - us**4 / 12.0
-    return out
+        ln_sin = float(np.log(abs(math.sin(math.pi * frac))))
+    g_s = float(gammaln(s + 1.0))
+    g_plus = gammaln(h + m + 1.0)
+    g_side = np.where(head, -gammaln(np.where(head, h - m + 1.0, 1.0)),
+                      gammaln(np.where(head, 1.0, m - h)))
+    core = g_side - g_plus  # the large, cancelling pair first
+    rest = (np.log(m) + np.where(head, 0.0, ln_sin - math.log(math.pi))
+            + (_LN2 + g_s - s * _LN2))
+    log_b = core + rest
+    # gammaln is good to 3 eps of max(|value|, 1); every other rounding costs
+    # eps/2 of a partial sum, and there are at most two per magnitude below
+    err_log = (3.0 * _EPS * (abs(g_s) + np.abs(g_plus) + np.abs(g_side) + 3.0)
+               + _EPS * (abs(g_s) + s + np.abs(core) + np.abs(rest)
+                         + np.abs(log_b) + 2.0))
+    b = np.exp(log_b)
+    sign = np.where(head, 1.0, (-1.0) ** (m - 1.0 + k) * math.copysign(1.0, frac))
+    return sign * b, b * err_log
 
 
-def _one_minus_cos_pow(t: np.ndarray, s: float) -> np.ndarray:
-    """(1 - |cos(t/sqrt(s))|^s) / t^2, the F integrand before the 2/pi."""
-    return -np.expm1(s * _log_abs_cos(t / math.sqrt(s))) / (t * t)
-
-
-def _cos_pow(t: np.ndarray, s: float) -> np.ndarray:
-    return np.exp(s * _log_abs_cos(t / math.sqrt(s))) / (t * t)
-
-
-def _gl_value(f, lo: np.ndarray, hi: np.ndarray, order: int) -> float:
-    from ._num import gauss_legendre
-
-    x, w = gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    mid = lo + half
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return float(np.dot(weights, f(nodes)))
-
-
-def _two_level(f, edges: np.ndarray) -> tuple[float, float]:
-    lo, hi = edges[:-1], edges[1:]
-    v16 = _gl_value(f, lo, hi, 16)
-    v8 = _gl_value(f, lo, hi, 8)
-    return v16, abs(v16 - v8)
+def _tail_sum(s: float, m0: int, budget: float) -> tuple[float, float, float]:
+    """(value, truncation, round-off) of the tail m >= m0 > s/2, stopping at
+    the first b_J - b_{J+1} <= budget (inf truncation if round-off exceeds it)."""
+    partial: list[float] = []
+    round_err = 0.0
+    size = 64
+    while True:
+        t, e = _terms(s, np.arange(m0, m0 + size + 1))
+        b = np.abs(t)
+        hit = np.flatnonzero(b[:-1] - b[1:] <= budget)
+        if hit.size:
+            j = int(hit[0])
+            partial += [fsum(t[: j + 1]), -0.5 * float(t[j])]
+            return (fsum(partial), 0.5 * float(b[j] - b[j + 1]),
+                    round_err + float(np.sum(e[: j + 1])))
+        partial.append(fsum(t[:-1]))
+        round_err += float(np.sum(e[:-1]))
+        if round_err > budget:
+            return fsum(partial), math.inf, round_err
+        m0 += size
+        size = min(2 * size, 1 << 16)
 
 
 def f_function(s: float, tol: float = 1e-4) -> tuple[float, float]:
-    """F(s) with a certified error bound (quadrature estimate + 1/T tail).
+    """F(s) and a bound on its truncation plus round-off error, at most tol.
 
-    The cut T depends on tol only, so values scanned across s share the same
-    truncation and the monotonicity of F survives in the computed values.
+    Raises ValidationError if round-off keeps the bound above tol.
     """
-    if s <= 0:
-        raise DomainError("F(s) requires s > 0")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     s = float(s)
-    p = math.pi * math.sqrt(s)  # period of |cos(t/sqrt(s))| in t
-    t_req = 4.0 / (math.pi * tol)  # tail 2/(pi T) <= tol/2
-    n_half = max(int(math.ceil(t_req / p - 0.5)), 1)
-    T = (n_half + 0.5) * p  # snap the cut to a kink so bumps stay whole
-
-    # first region [0, p/2]: combined integrand, geometric panels resolve
-    # both the t ~ O(1) transition and the kink scale
-    lo_edge = min(0.25, p / 16.0)
-    edges0 = np.concatenate([[0.0], np.geomspace(lo_edge, p / 2.0, 24)])
-    v0, e0 = _two_level(lambda t: _one_minus_cos_pow(t, s), edges0)
-
-    if s < _BUMP_SPLIT:
-        # modest period: composite panels over every kink interval, 8 panels
-        # per interval so no panel is wider than p/8
-        kinks = (np.arange(n_half + 1) + 0.5) * p
-        sub = np.linspace(0.0, 1.0, 9)
-        grid = kinks[:-1, None] + (kinks[1:] - kinks[:-1])[:, None] * sub[None, :]
-        lo = grid[:, :-1].ravel()
-        hi = grid[:, 1:].ravel()
-        f = lambda t: _one_minus_cos_pow(t, s)
-        v1 = _gl_value(f, lo, hi, 16)
-        e1 = abs(v1 - _gl_value(f, lo, hi, 8))
-        value = (2.0 / math.pi) * (v0 + v1)
-        est = (2.0 / math.pi) * (e0 + e1)
-    else:
-        # long period: 1/t^2 integrates exactly; |cos|^s only matters inside
-        # width-12 bumps around t = k p (|cos u|^s <= exp(-d^2/2) outside)
-        flat = 2.0 / p - 1.0 / T
-        w = _BUMP_HALF_WIDTH
-        t0 = np.arange(1, n_half + 1) * p
-        offs = np.linspace(-w, w, 25)
-        grid = t0[:, None] + offs[None, :]
-        lo = grid[:, :-1].ravel()
-        hi = grid[:, 1:].ravel()
-        f = lambda t: _cos_pow(t, s)
-        bump_v = _gl_value(f, lo, hi, 16)
-        bump_e = abs(bump_v - _gl_value(f, lo, hi, 8))
-        value = (2.0 / math.pi) * (v0 + flat - bump_v)
-        est = (2.0 / math.pi) * (e0 + bump_e)
-
-    quad_error = est + 2.0 / (math.pi * T)
-    return value, quad_error
+    if not (math.isfinite(s) and s > 0):
+        raise DomainError(f"F(s) requires a finite s > 0, got {s!r}")
+    if s > _S_MAX:
+        raise CapabilityError(
+            f"F(s) is evaluated for s <= {_S_MAX:g}; it tends to sqrt(2/pi)")
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
+    h = 0.5 * s
+    scale = 2.0 / math.sqrt(s)
+    top = math.floor(h)
+    cut = min(top, int(_HEAD_WIDTH * math.sqrt(s)) + 1)
+    t, e = _terms(s, np.arange(1, cut + 1))
+    partial = [fsum(t)]
+    round_err = float(np.sum(e))
+    trunc = 0.0
+    if cut < top:
+        # past the cut b_m falls with ratio <= r through the head, and the
+        # alternating tail beyond s/2 is at most the last head term
+        b = float(np.abs(_terms(s, np.array([cut + 1]))[0][0]))
+        r = (cut + 2) * (h - cut - 1) / ((cut + 1) * (h + cut + 2))
+        trunc = 2.0 * b / (1.0 - r)
+    elif h != top:  # odd or non-integer s: the tail does not vanish
+        tail, trunc, e_tail = _tail_sum(s, top + 1, tol / scale)
+        partial.append(tail)
+        round_err += e_tail
+    value = scale * fsum(partial)
+    err = scale * (trunc + round_err) + 4.0 * _EPS * abs(value)
+    if err > tol:
+        raise ValidationError(f"F({s:g}) cannot reach tol = {tol:g} within "
+                              f"round-off (error bound {err:.1e})")
+    return value, err
 
 
 def khinchine_bounds(A: WeightVector, tol: float = 1e-4) -> KhinchineBound:
     """Lower-bound chain F(a_n^-2) <= sum a_k^2 F(a_k^-2) (<= E)."""
-    cache: dict[float, tuple[float, float]] = {}
-
-    def f_at(s: float) -> tuple[float, float]:
-        if s not in cache:
-            cache[s] = f_function(s, tol)
-        return cache[s]
-
     weighted = 0.0
     weighted_err = 0.0
-    for ak in A.a:
-        v, e = f_at(float(ak) ** -2)
+    for ak in A.a:  # ascending, so the last (v, e) is F(a_n^-2)
+        v, e = f_function(float(ak) ** -2, tol)
         weighted += float(ak) ** 2 * v
         weighted_err += float(ak) ** 2 * e
-    f_an, err_an = f_at(float(A.a[-1]) ** -2)
-    return KhinchineBound(f_of_an=f_an, weighted_sum=weighted,
-                          quad_error=err_an + weighted_err)
+    return KhinchineBound(f_of_an=v, weighted_sum=weighted,
+                          quad_error=e + weighted_err)

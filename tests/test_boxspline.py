@@ -179,6 +179,19 @@ def test_exported_values_rejects_genuinely_negative():
         prof.exported_values()
 
 
+def test_exported_values_floor_is_stated_tolerance():
+    # n = 12 Fourier values near the support ends dip to -5e-10, inside the
+    # method's own 5e-8 bound; they export as zeros instead of raising
+    A = make_unit([1.65, 1.84, 2.51, 2.93, 3.18, 3.23, 3.33, 3.4, 3.4, 3.87,
+                   3.94, 4.0])
+    prof = density_profile(A, np.linspace(0.0, A.total, 101), "fourier")
+    assert prof.values.min() < -1e-10
+    assert prof.values.min() >= -prof.tolerance
+    exported = prof.exported_values()
+    assert np.all(exported >= 0.0)
+    assert np.array_equal(exported, np.maximum(prof.values, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # max, phi, Monte Carlo cross-check
 

@@ -170,6 +170,14 @@ def test_error_exit_codes(capsys):
     assert code == EXIT_ERROR
     code, _, err = run(capsys, "fbound", "--s", "-1")
     assert code == EXIT_ERROR
+    for s in ("nan", "inf"):
+        code, _, err = run(capsys, "fbound", "--s", s)
+        assert code == EXIT_ERROR and "finite" in err
+    for grid in ("0:1:0", "0:1:-0.1", "1:0:0.1", "0:nan:0.1", "0:inf:0.1"):
+        code, out, err = run(capsys, "eval", "--equal", "3", "--grid", grid)
+        assert code == EXIT_ERROR and out == "" and "grid" in err
+    code, _, err = run(capsys, "probe", "--c0", "1", "--n", "5..3")
+    assert code == EXIT_ERROR and "empty" in err
 
 
 def test_mutually_exclusive_weight_flags(capsys):

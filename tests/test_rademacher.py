@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from boxgap.errors import CapabilityError, DomainError, ValidationError
 from boxgap.rademacher import (
     ENUM_CAP,
     SQRT_2_OVER_PI,
+    _terms,
     exact_expectation,
     f_function,
     khinchine_bounds,
@@ -119,10 +121,66 @@ def test_f_limit():
 
 
 def test_f_tightening_tolerance_converges():
-    loose, le = f_function(37.0, tol=1e-3)
-    tight, te = f_function(37.0, tol=1e-6)
+    # at s = 1.3 the tail truncation depends on tol; at s = 37 both
+    # tolerances leave only round-off, so only agreement is checked there
+    loose, le = f_function(1.3, tol=1e-3)
+    tight, te = f_function(1.3, tol=1e-6)
     assert te < le
     assert abs(loose - tight) <= le + te
+    loose, le = f_function(37.0, tol=1e-3)
+    tight, te = f_function(37.0, tol=1e-6)
+    assert abs(loose - tight) <= le + te
+
+
+def test_f_one_is_two_over_pi():
+    # |cos u| = 2/pi + (4/pi) sum (-1)^(m-1) cos(2mu) / (4m^2 - 1)
+    v, err = f_function(1.0, tol=1e-9)
+    assert err <= 1e-9
+    assert abs(v - 2.0 / math.pi) <= err
+
+
+def test_f_equal_weight_vectors_match_exact():
+    # F(n) = E|sum e_k|/sqrt(n) for even n; s = a_n^-2 lands on n +- ulp
+    off_grid = 0
+    for n in range(2, 13, 2):
+        A = generate(FamilySpec("equal", n))
+        s = float(A.a[-1]) ** -2
+        off_grid += s != n
+        v, err = f_function(s)
+        assert err <= 1e-4
+        assert abs(v - exact_expectation(A).expectation) <= err
+    assert off_grid >= 2  # the s = 2k +- ulp cancellation case is exercised
+
+
+@pytest.mark.parametrize("s", [0.5, 1.3, 7.3])
+def test_f_series_coefficients_match_quadrature(s):
+    m = np.array([1, 2, 3, 5, 8])
+    c = _terms(s, m)[0] / m
+    for mk, ck in zip(m, c):
+        ref, _ = quad(lambda u: math.cos(u) ** s * math.cos(2 * mk * u),
+                      0.0, math.pi / 2, epsabs=1e-13, limit=200)
+        assert ck == pytest.approx(4.0 / math.pi * ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_f_stated_error_within_tol(tol):
+    grid = [0.25, 0.5, 0.9, 1.0] + [float(2**k) for k in range(15)] + [1e5]
+    for s in grid:
+        v, err = f_function(s, tol)
+        assert 0.0 < err <= tol
+        assert 0.0 < v < SQRT_2_OVER_PI + err
+
+
+def test_f_rejects_non_finite_and_unreachable():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            f_function(bad)
+    with pytest.raises(ValidationError):
+        f_function(1.0, tol=math.nan)
+    with pytest.raises(ValidationError):
+        f_function(1.0, tol=1e-18)  # below the round-off of the series
+    with pytest.raises(CapabilityError):
+        f_function(1e12)
 
 
 # ---------------------------------------------------------------------------
