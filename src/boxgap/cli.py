@@ -8,20 +8,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 import numpy as np
 
 from .boxspline import density_profile, phi
 from .errors import BoxgapError, ValidationError
 from .gap import (
+    GapReport,
     _expectation,
-    _probe,
     confirm_counterexample,
     gap as gap_report,
     minimize_gap,
     scan_random,
+    threshold_probe,
 )
-from .io import dumps_csv, dumps_json, format_float, write_text
+from .io import dumps_csv, dumps_json, write_text
 from .rademacher import f_function
 from .saddlepoint import convergence_report
 from .weights import FamilySpec, WeightVector, center, generate, make_unit
@@ -129,7 +131,7 @@ def cmd_fbound(args) -> int:
 def cmd_gap(args) -> int:
     A = _weights_from(args)
     report = gap_report(A, phi_method=args.method, seed=args.seed)
-    if report.gap >= -max(args.tol, report.tolerance):
+    if not report.violates(args.tol):
         _emit(args, dumps_json(report))
         return EXIT_OK
     confirmed, reports = confirm_counterexample(A, args.tol)
@@ -142,17 +144,20 @@ def cmd_gap(args) -> int:
     return EXIT_VIOLATION if confirmed else EXIT_OK
 
 
+def _exit_for(report: GapReport, tol: float) -> int:
+    """EXIT_VIOLATION only for a violation that every evaluator confirms."""
+    if report.violates(tol) and confirm_counterexample(report.A, tol)[0]:
+        return EXIT_VIOLATION
+    return EXIT_OK
+
+
 def cmd_scan(args) -> int:
     rows: list[tuple] = []
     summary = scan_random(args.n, args.c0, args.trials, args.seed,
                                  collect=rows.append)
     csv_text = dumps_csv(("trial", "gap", "ratio"), rows)
     _emit(args, dumps_json(summary), csv_text)
-    if summary.min_report.gap < -max(args.tol, summary.min_report.tolerance):
-        confirmed, _ = confirm_counterexample(summary.min_report.A, args.tol)
-        if confirmed:
-            return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_for(summary.min_report, args.tol)
 
 
 def cmd_minimize(args) -> int:
@@ -161,17 +166,13 @@ def cmd_minimize(args) -> int:
                                             budget=args.budget)
     _emit(args, dumps_json({"report": report.to_json_dict(),
                             "budget_exhausted": exhausted}))
-    if report.gap < -max(args.tol, report.tolerance):
-        confirmed, _ = confirm_counterexample(report.A, args.tol)
-        if confirmed:
-            return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_for(report, args.tol)
 
 
 def cmd_probe(args) -> int:
-    report = _probe(args.c0, args.family, _parse_int_range(args.n),
-                    args.trials, args.seed, args.tol, f_tol=1e-4,
-                    threads=args.threads)
+    report = threshold_probe(args.c0, args.family, _parse_int_range(args.n),
+                             args.trials, args.seed, args.tol,
+                             threads=args.threads)
     csv_text = dumps_csv(
         ("n", "min_gap", "min_slack", "slack_tol"),
         ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in report.rows))
@@ -294,11 +295,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BoxgapError as exc:
+    except (BoxgapError, ValueError, OSError) as exc:
         print(f"boxgap: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"boxgap: error: {exc}", file=sys.stderr)
+    except Exception:  # a defect, not a verdict: 1 means a confirmed violation
+        traceback.print_exc()
         return EXIT_ERROR
 
 

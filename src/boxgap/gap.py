@@ -20,11 +20,9 @@ from .boxspline import TRUNCATED_POWER_CAP, _resolve_method, max_value
 from .errors import ValidationError
 from .rademacher import ENUM_CAP, exact_expectation, f_function, mc_expectation
 from .saddlepoint import GAUSS_PEAK
-from .weights import FamilySpec, WeightVector, center, generate, make_unit, ratio
+from .weights import FamilySpec, WeightVector, generate, ratio
 
 RECIP_LIMIT = math.sqrt(math.pi / 2.0)  # limit of 1/F(s)
-
-_DEFAULT_MC_SAMPLES = 4 * 10**5
 
 
 def epsilon0_cap() -> float:
@@ -42,6 +40,12 @@ class GapReport:
     exp_method: str
     lower_bound_gap: float
     tolerance: float
+    f_of_an: float  # F(a_n^-2), the Khinchine-type lower bound on E
+    f_error: float  # stated error of f_of_an
+
+    def violates(self, tol: float) -> bool:
+        """True iff the gap is negative beyond both tol and its own tolerance."""
+        return self.gap < -max(tol, self.tolerance)
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,6 +57,8 @@ class GapReport:
             "exp_method": self.exp_method,
             "lower_bound_gap": self.lower_bound_gap,
             "tolerance": self.tolerance,
+            "f_of_an": self.f_of_an,
+            "f_error": self.f_error,
         }
 
 
@@ -66,33 +72,29 @@ def _expectation(A: WeightVector, exp_method: str, mc_samples: int, seed: int):
     raise ValidationError(f"unknown expectation method {exp_method!r}")
 
 
-def _gap_value(A: WeightVector) -> float:
-    """phi_A(0) * E - 1 without the F-bound quadrature (fast scan path)."""
-    return max_value(A) * exact_expectation(A).expectation - 1.0
-
-
 def gap(A: WeightVector, phi_method: str = "auto", exp_method: str = "auto",
-        f_tol: float = 1e-4, mc_samples: int = _DEFAULT_MC_SAMPLES,
+        f_tol: float = 1e-4, mc_samples: int = 4 * 10**5,
         seed: int = 0) -> GapReport:
     """Gap report with both the true gap and the F(a_n^-2) lower-bound gap."""
     phi_method = _resolve_method(A, phi_method)
     phi0 = max_value(A, phi_method)
     summary = _expectation(A, exp_method, mc_samples, seed)
     g = phi0 * summary.expectation - 1.0
-    f_an, _ = f_function(float(A.a[-1]) ** -2, f_tol)
+    f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
     lower = phi0 * f_an - 1.0
     phi_err = 1e-9 if phi_method == "truncated_power" else 1e-5
     exp_err = 4.0 * summary.stderr if summary.stderr is not None else 1e-12
     tol = phi_err * summary.expectation + phi0 * exp_err + 1e-12
     return GapReport(A=A, phi0=phi0, expectation=summary.expectation, gap=g,
                      phi_method=phi_method, exp_method=summary.method,
-                     lower_bound_gap=lower, tolerance=tol)
+                     lower_bound_gap=lower, tolerance=tol, f_of_an=f_an,
+                     f_error=f_err)
 
 
 def verify(A: WeightVector, tol: float = 1e-9) -> tuple[bool, GapReport]:
-    """True iff the computed gap is >= -tol (two-sided: equality cases exist)."""
+    """True iff the gap is not a violation at tol (equality cases exist)."""
     report = gap(A)
-    return report.gap >= -tol, report
+    return not report.violates(tol), report
 
 
 def confirm_counterexample(A: WeightVector, tol: float = 1e-9) -> tuple[bool, list[GapReport]]:
@@ -105,7 +107,7 @@ def confirm_counterexample(A: WeightVector, tol: float = 1e-9) -> tuple[bool, li
     if A.n > TRUNCATED_POWER_CAP:
         methods.remove("truncated_power")
     reports = [gap(A, phi_method=m, f_tol=1e-6) for m in methods]
-    confirmed = all(r.gap < -max(tol, r.tolerance) for r in reports)
+    confirmed = all(r.violates(tol) for r in reports)
     return confirmed, reports
 
 
@@ -140,17 +142,14 @@ def scan_random(n: int, c0: float, trials: int, seed: int,
         raise ValidationError("trials must be >= 1")
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(trials)
     gaps = np.empty(trials)
-    best_i = 0
     for i, s in enumerate(child_seeds):
         A = generate(FamilySpec("random", n, c0=c0, seed=int(s)))
-        g = _gap_value(A)
-        gaps[i] = g
-        if g < gaps[best_i]:
-            best_i = i
+        report = gap(A)
+        gaps[i] = report.gap
+        if i == 0 or report.gap < best.gap:  # the first of equal minima
+            best, best_i = report, i
         if collect is not None:
-            collect((i, g, ratio(A)))
-    best = gap(generate(FamilySpec("random", n, c0=c0,
-                                   seed=int(child_seeds[best_i]))))
+            collect((i, report.gap, ratio(A)))
     counts, edges = np.histogram(gaps, bins=min(20, trials))
     return ScanSummary(n=n, c0=c0, trials=trials, seed=seed, min_report=best,
                        argmin_trial=best_i,
@@ -174,6 +173,8 @@ def minimize_gap(n: int, c0: float, start: WeightVector,
     by construction; the ratio cap is enforced by projection.  Returns
     (best report, budget_exhausted); never claims global optimality.
     """
+    if not 1.0 <= c0 < math.inf:
+        raise ValidationError("c0 must be finite and >= 1")
     if ratio(start) > c0 * (1 + 1e-12):
         raise ValidationError("start vector violates the ratio cap")
 
@@ -183,7 +184,7 @@ def minimize_gap(n: int, c0: float, start: WeightVector,
         return WeightVector(_project_ratio(q / np.sqrt(np.sum(q * q)), c0))
 
     def objective(q: np.ndarray) -> float:
-        return _gap_value(weights_of(q))
+        return gap(weights_of(q)).gap
 
     res = minimize(objective, np.array(start.a), method="Nelder-Mead",
                    options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-13})
@@ -226,25 +227,24 @@ class ThresholdReport:
 
 
 def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50,
-                    seed: int = 0, tol: float = 1e-9,
-                    f_tol: float = 1e-4) -> ThresholdReport:
+                    seed: int = 0, tol: float = 1e-9, f_tol: float = 1e-4,
+                    threads: int = 1) -> ThresholdReport:
     """Empirical N0(c0): least n from which the proof-route slack stays >= 0.
 
     The slack max_x B(x|A) - 1/F(a_n^-2) is the sufficient condition the
     asymptotic argument certifies; it can be negative at small n even where
-    the true gap is positive, and both are reported.
+    the true gap is positive, and both are reported.  Rows are computed on
+    `threads` threads and merged in n order, so the report does not depend
+    on the thread count.
     """
-    return _probe(c0, family_kind, n_range, trials_per_n, seed, tol, f_tol)
-
-
-def _probe(c0: float, family_kind: str, n_range, trials_per_n: int, seed: int,
-           tol: float, f_tol: float, threads: int = 1) -> ThresholdReport:
-    """threshold_probe with its rows computed on `threads` threads."""
-    if c0 < 1.0:
-        raise ValidationError("c0 must be >= 1")
+    if not 1.0 <= c0 < math.inf:
+        raise ValidationError("c0 must be finite and >= 1")
     ns = list(n_range)
     if not ns:
         raise ValidationError("n range is empty")
+
+    def slack(r: GapReport) -> float:
+        return r.phi0 - 1.0 / r.f_of_an
 
     def row(n: int) -> ThresholdRow:
         if family_kind == "random" and n > 1:
@@ -256,23 +256,13 @@ def _probe(c0: float, family_kind: str, n_range, trials_per_n: int, seed: int,
             vecs = [generate(FamilySpec("geometric", n, q=q))]
         else:  # equal (and n = 1, where every family collapses)
             vecs = [generate(FamilySpec("equal", n))]
-        min_gap = math.inf
-        argmin = vecs[0]
-        min_slack = math.inf
-        slack_tol = tol
-        for A in vecs:
-            phi0 = max_value(A)
-            g = phi0 * _expectation(A, "auto", _DEFAULT_MC_SAMPLES, 0).expectation - 1.0
-            f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
-            slack = phi0 - 1.0 / f_an
-            if g < min_gap:
-                min_gap, argmin = g, A
-            if slack < min_slack:
-                min_slack = slack
-                # 1/F error propagated from the stated F error
-                slack_tol = tol + f_err / f_an**2
-        return ThresholdRow(n=n, min_gap=min_gap, argmin=argmin,
-                            min_slack=min_slack, slack_tol=slack_tol)
+        reports = [gap(A, f_tol=f_tol) for A in vecs]
+        low = min(reports, key=lambda r: r.gap)  # min keeps the first of ties
+        tight = min(reports, key=slack)
+        return ThresholdRow(n=n, min_gap=low.gap, argmin=low.A,
+                            min_slack=slack(tight),
+                            # 1/F error propagated from the stated F error
+                            slack_tol=tol + tight.f_error / tight.f_of_an**2)
 
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         rows = list(pool.map(row, ns))  # map keeps n order: same at any count

@@ -62,15 +62,19 @@ def exact_expectation(A: WeightVector) -> RademacherSummary:
     """2^-n sum over all sign vectors of |sum a_k e_k|.
 
     The e <-> -e symmetry halves the enumeration (last sign fixed to +1);
-    sums are built by vectorized doubling and reduced pairwise.
+    sums are built by doubling in place in one 2^(n-1) buffer and reduced
+    pairwise.
     """
     if A.n > ENUM_CAP:
         raise CapabilityError(
             f"exact enumeration capped at n = {ENUM_CAP}; use mc_expectation")
-    sums = np.array([A.a[-1]])
-    for w in A.a[:-1]:
-        sums = np.concatenate([sums + w, sums - w])
-    exp = float(np.mean(np.abs(sums)))
+    sums = np.empty(1 << (A.n - 1))
+    sums[0] = A.a[-1]
+    for j, w in enumerate(A.a[:-1]):  # the first k sums s become [s+w, s-w]
+        k = 1 << j
+        np.subtract(sums[:k], w, out=sums[k:2 * k])
+        sums[:k] += w
+    exp = float(np.mean(np.abs(sums, out=sums)))
     return RademacherSummary(expectation=exp, method="exact", n=A.n)
 
 

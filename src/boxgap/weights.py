@@ -81,7 +81,7 @@ def make_unit(raw: Sequence[float]) -> WeightVector:
     if err > NORM_TOL:
         arr = arr / np.sqrt(np.sum(arr * arr))
         err = abs(float(np.sum(arr * arr)) - 1.0)
-        if err > NORM_TOL:
+        if not err <= NORM_TOL:  # also nan, when the squares overflow
             raise ValidationError(f"normalization failed, |sum a^2 - 1| = {err:g}")
     return WeightVector(arr)
 
@@ -103,12 +103,12 @@ def generate(spec: FamilySpec) -> WeightVector:
     if spec.kind == "equal":
         return make_unit(np.ones(spec.n))
     if spec.kind == "geometric":
-        if spec.q is None or spec.q <= 0:
-            raise ValidationError("geometric family needs ratio q > 0")
+        if spec.q is None or not 0.0 < spec.q < np.inf:
+            raise ValidationError("geometric family needs a finite ratio q > 0")
         return make_unit(float(spec.q) ** np.arange(spec.n))
     if spec.kind == "random":
-        if spec.c0 is None or spec.c0 < 1.0:
-            raise ValidationError("random family needs ratio cap c0 >= 1")
+        if spec.c0 is None or not 1.0 <= spec.c0 < np.inf:
+            raise ValidationError("random family needs a finite ratio cap c0 >= 1")
         if spec.seed is None:
             raise ValidationError("random family needs a seed")
         rng = np.random.default_rng(int(spec.seed))

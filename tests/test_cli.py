@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxgap import cli
 from boxgap.cli import EXIT_ERROR, EXIT_OK, main
 
 
@@ -113,6 +118,12 @@ def test_scan_csv_rows(capsys):
     assert len(lines) == 11
 
 
+def test_scan_beyond_enum_cap_uses_monte_carlo(capsys):
+    d = run_json(capsys, "scan", "--n", "27", "--c0", "4", "--trials", "1")
+    assert d["min_report"]["exp_method"] == "monte_carlo"
+    assert d["min_report"]["gap"] >= -d["min_report"]["tolerance"]
+
+
 def test_minimize(capsys):
     code, out, _ = run(capsys, "minimize", "--weights", "0.6,0.8",
                        "--c0", "2")
@@ -178,6 +189,33 @@ def test_error_exit_codes(capsys):
         assert code == EXIT_ERROR and out == "" and "grid" in err
     code, _, err = run(capsys, "probe", "--c0", "1", "--n", "5..3")
     assert code == EXIT_ERROR and "empty" in err
+    for c0 in ("nan", "inf"):
+        for argv in (("gap", "--random", f"3,{c0},1"),
+                     ("scan", "--n", "3", "--c0", c0, "--trials", "2"),
+                     ("minimize", "--equal", "3", "--c0", c0),
+                     ("probe", "--c0", c0, "--n", "1..3")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_ERROR and out == "" and "c0" in err, argv
+
+
+def test_unexpected_error_exits_2(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "scan_random", broken)
+    code, out, err = run(capsys, "scan", "--n", "3", "--c0", "2")
+    assert code == EXIT_ERROR and out == "" and "boom" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), c0=st.floats(), seed=st.integers())
+def test_gap_random_exit_code_contract(n, c0, seed):
+    # whatever the ratio cap, `gap --random` exits 0 (ok) or 2 (error);
+    # 1 is reserved for a violation every evaluator confirms
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(["gap", "--random", f"{n},{c0!r},{seed}"])
+    assert code in (EXIT_OK, EXIT_ERROR)
 
 
 def test_mutually_exclusive_weight_flags(capsys):

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from boxgap.errors import ValidationError
 from boxgap.gap import (
+    GapReport,
     confirm_counterexample,
     epsilon0_cap,
     gap,
@@ -14,6 +16,7 @@ from boxgap.gap import (
     verify,
 )
 from boxgap.io import dumps_json
+from boxgap.rademacher import f_function
 from boxgap.weights import FamilySpec, generate, make_unit
 
 
@@ -58,6 +61,36 @@ def test_gap_report_consistency():
     assert r.tolerance > 0.0
 
 
+def test_gap_report_states_f_bound():
+    A = generate(FamilySpec("random", 7, c0=3.0, seed=2))
+    r = gap(A, f_tol=1e-6)
+    assert (r.f_of_an, r.f_error) == f_function(float(A.a[-1]) ** -2, 1e-6)
+    assert 0.0 < r.f_error <= 1e-6
+    assert r.lower_bound_gap == r.phi0 * r.f_of_an - 1.0
+    d = r.to_json_dict()
+    assert d["f_of_an"] == r.f_of_an and d["f_error"] == r.f_error
+
+
+def _report(g: float, tolerance: float) -> GapReport:
+    return GapReport(A=make_unit([1.0, 2.0, 3.0]), phi0=1.0, expectation=1.0,
+                     gap=g, phi_method="truncated_power", exp_method="exact",
+                     lower_bound_gap=g, tolerance=tolerance, f_of_an=0.7,
+                     f_error=1e-5)
+
+
+def test_violates_takes_the_larger_tolerance(monkeypatch):
+    inside = _report(-1e-7, 1e-6)  # within the report's own tolerance
+    outside = _report(-2e-6, 1e-6)
+    assert not inside.violates(1e-9)
+    assert outside.violates(1e-9)
+    assert not outside.violates(1e-5)  # within the caller's tol
+    assert not _report(0.0, 0.0).violates(0.0)  # equality is no violation
+    gap_module = sys.modules["boxgap.gap"]  # the package attribute is gap()
+    for report, ok in ((inside, True), (outside, False)):
+        monkeypatch.setattr(gap_module, "gap", lambda A, r=report: r)
+        assert verify(report.A, tol=1e-9) == (ok, report)
+
+
 def test_gap_mc_path():
     A = generate(FamilySpec("random", 30, c0=2.0, seed=1))
     r = gap(A, seed=5)
@@ -99,6 +132,15 @@ def test_scan_no_violations_small():
         assert sum(summary.histogram_counts) == 100
 
 
+def test_scan_min_report_is_gap_of_argmin():
+    summary = scan_random(5, 3.0, trials=20, seed=4)
+    seeds = np.random.SeedSequence(4).generate_state(20)
+    A = generate(FamilySpec("random", 5, c0=3.0,
+                            seed=int(seeds[summary.argmin_trial])))
+    assert dumps_json(summary.min_report) == dumps_json(gap(A))
+    assert summary.min_report.gap == min(summary.histogram_edges)
+
+
 def test_scan_collect_and_validation():
     rows = []
     scan_random(3, 2.0, trials=10, seed=1, collect=rows.append)
@@ -134,6 +176,9 @@ def test_minimize_never_worse_than_start():
 def test_minimize_rejects_infeasible_start():
     with pytest.raises(ValidationError):
         minimize_gap(2, 1.5, make_unit([1.0, 2.0]))
+    for c0 in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ValidationError):
+            minimize_gap(2, c0, make_unit([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +205,16 @@ def test_threshold_probe_random_family_deterministic():
     assert all(r.min_gap >= -1e-9 for r in one.rows)
 
 
+def test_threshold_probe_threads_match_serial():
+    args = (4.0, "random", [3, 4, 5, 6])
+    serial = threshold_probe(*args, trials_per_n=5, seed=2)
+    threaded = threshold_probe(*args, trials_per_n=5, seed=2, threads=4)
+    assert dumps_json(threaded) == dumps_json(serial)
+
+
 def test_threshold_probe_validation():
-    with pytest.raises(ValidationError):
-        threshold_probe(0.5, "equal", [1, 2])
+    for c0 in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            threshold_probe(c0, "equal", [1, 2])
     with pytest.raises(ValidationError):
         threshold_probe(2.0, "equal", [])

@@ -52,6 +52,8 @@ def test_make_unit_rejects_bad_input():
         make_unit([1.0, float("nan")])
     with pytest.raises(ValidationError):
         make_unit([1.0, float("inf")])
+    with pytest.raises(ValidationError):  # squares overflow: no nan weights
+        make_unit([1e300, 2e300])
 
 
 def test_weight_vector_is_read_only():
@@ -100,6 +102,11 @@ def test_generate_validation():
         generate(FamilySpec("random", 3, c0=2.0))
     with pytest.raises(ValidationError):
         generate(FamilySpec("pareto", 3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            generate(FamilySpec("random", 3, c0=bad, seed=1))
+        with pytest.raises(ValidationError):
+            generate(FamilySpec("geometric", 3, q=bad))
 
 
 def test_family_spec_json_shapes():
