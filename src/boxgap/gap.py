@@ -83,7 +83,7 @@ def gap(A: WeightVector, phi_method: str = "auto", exp_method: str = "auto",
     f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
     lower = phi0 * f_an - 1.0
     phi_err = 1e-9 if phi_method == "truncated_power" else 1e-5
-    exp_err = 4.0 * summary.stderr if summary.stderr is not None else 1e-12
+    exp_err = summary.error if summary.stderr is None else 4.0 * summary.stderr
     tol = phi_err * summary.expectation + phi0 * exp_err + 1e-12
     return GapReport(A=A, phi0=phi0, expectation=summary.expectation, gap=g,
                      phi_method=phi_method, exp_method=summary.method,

@@ -75,13 +75,20 @@ def make_unit(raw: Sequence[float]) -> WeightVector:
     if np.any(arr <= 0.0):
         raise ValidationError("all weights must be strictly positive")
     arr = np.sort(arr)
-    arr = arr / np.sqrt(np.sum(arr * arr))
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.sum(arr * arr)
+    if not np.finfo(np.float64).tiny <= sq < np.inf:
+        # the squares overflow or underflow; scaling is free, the gap is
+        # scale-invariant, and other inputs keep their bits
+        arr = arr / arr[-1]
+        sq = np.sum(arr * arr)
+    arr = arr / np.sqrt(sq)
     # one re-scaling pass; reject only if still far from unit norm
     err = abs(float(np.sum(arr * arr)) - 1.0)
     if err > NORM_TOL:
         arr = arr / np.sqrt(np.sum(arr * arr))
         err = abs(float(np.sum(arr * arr)) - 1.0)
-        if not err <= NORM_TOL:  # also nan, when the squares overflow
+        if not err <= NORM_TOL:
             raise ValidationError(f"normalization failed, |sum a^2 - 1| = {err:g}")
     return WeightVector(arr)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from boxgap import cli
 from boxgap.cli import EXIT_ERROR, EXIT_OK, main
+from boxgap.rademacher import ENUM_CAP
 
 
 def run(capsys, *argv):
@@ -69,6 +70,7 @@ def test_expect_exact(capsys):
     d = run_json(capsys, "expect", "--equal", "4")
     assert d["method"] == "exact"
     assert d["expectation"] == 0.75
+    assert 0.0 < d["error"] <= 1e-14
 
 
 def test_expect_mc_seeded(capsys):
@@ -119,9 +121,25 @@ def test_scan_csv_rows(capsys):
 
 
 def test_scan_beyond_enum_cap_uses_monte_carlo(capsys):
-    d = run_json(capsys, "scan", "--n", "27", "--c0", "4", "--trials", "1")
+    d = run_json(capsys, "scan", "--n", str(ENUM_CAP + 1), "--c0", "4",
+                 "--trials", "1")
     assert d["min_report"]["exp_method"] == "monte_carlo"
     assert d["min_report"]["gap"] >= -d["min_report"]["tolerance"]
+
+
+def test_minimize_past_old_enumeration_cap_is_exact(capsys):
+    d = run_json(capsys, "minimize", "--equal", "27", "--c0", "2",
+                 "--budget", "20")
+    assert d["report"]["exp_method"] == "exact"
+    assert d["report"]["gap"] >= -d["report"]["tolerance"]
+
+
+def test_gap_extreme_weight_scales(capsys):
+    # the gap is scale-invariant: squares that overflow or underflow in
+    # double precision must not change it
+    ref = run_json(capsys, "gap", "--weights", "1,2")
+    for w in ("1e200,2e200", "1e-200,2e-200"):
+        assert run_json(capsys, "gap", "--weights", w) == ref
 
 
 def test_minimize(capsys):
@@ -177,7 +195,8 @@ def test_out_file(tmp_path, capsys):
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "eval", "--weights=0,1", "--at", "center")
     assert code == EXIT_ERROR and "positive" in err
-    code, _, err = run(capsys, "expect", "--equal", "30", "--method", "exact")
+    code, _, err = run(capsys, "expect", "--equal", str(ENUM_CAP + 1),
+                       "--method", "exact")
     assert code == EXIT_ERROR
     code, _, err = run(capsys, "fbound", "--s", "-1")
     assert code == EXIT_ERROR

@@ -16,7 +16,7 @@ from boxgap.gap import (
     verify,
 )
 from boxgap.io import dumps_json
-from boxgap.rademacher import f_function
+from boxgap.rademacher import ENUM_CAP, exact_expectation, f_function
 from boxgap.weights import FamilySpec, generate, make_unit
 
 
@@ -55,8 +55,12 @@ def test_gap_dominant_weight_equality():
 
 
 def test_gap_report_consistency():
-    r = gap(generate(FamilySpec("random", 6, c0=3.0, seed=13)))
+    A = generate(FamilySpec("random", 6, c0=3.0, seed=13))
+    r = gap(A)
     assert r.gap == pytest.approx(r.phi0 * r.expectation - 1.0, abs=1e-15)
+    # the tolerance carries the stated round-off of the exact E
+    e_err = exact_expectation(A).error
+    assert r.tolerance == 1e-9 * r.expectation + r.phi0 * e_err + 1e-12
     assert r.lower_bound_gap <= r.gap + 1e-9  # F-bound is weaker than E
     assert r.tolerance > 0.0
 
@@ -92,7 +96,7 @@ def test_violates_takes_the_larger_tolerance(monkeypatch):
 
 
 def test_gap_mc_path():
-    A = generate(FamilySpec("random", 30, c0=2.0, seed=1))
+    A = generate(FamilySpec("random", ENUM_CAP + 1, c0=2.0, seed=1))
     r = gap(A, seed=5)
     assert r.exp_method == "monte_carlo"
     assert r.phi_method == "convolution"

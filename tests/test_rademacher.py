@@ -26,6 +26,21 @@ def _brute_expectation(a):
     return total / 2 ** len(a)
 
 
+def _fsum_expectation(a):
+    """Oracle for n <= 20: every one of the 2^n signed sums formed exactly,
+    in integers of the weights' common ulp, and their mean by math.fsum.
+    Its error is at most two roundings of the result."""
+    assert len(a) <= 20
+    shift = 53 - int(np.min(np.frexp(a)[1]))  # a * 2^shift are integers
+    q = np.ldexp(a, shift).astype(np.int64)
+    assert np.array_equal(np.ldexp(q.astype(np.float64), -shift), a)
+    assert len(a) * int(q.max()) < 2**62  # no int64 overflow below
+    sums = np.zeros(1, dtype=np.int64)
+    for w in q:
+        sums = np.add.outer(sums, (w, -w)).ravel()
+    return math.fsum(np.abs(sums).astype(np.float64)) / 2.0 ** (len(a) + shift)
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -59,6 +74,24 @@ def test_exact_cap():
     A = generate(FamilySpec("equal", ENUM_CAP + 1))
     with pytest.raises(CapabilityError):
         exact_expectation(A)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_exact_within_stated_error_of_fsum_oracle(n):
+    A = generate(FamilySpec("random", n, c0=4.0, seed=n))
+    got = exact_expectation(A)
+    ref = _fsum_expectation(A.a)
+    assert 0.0 < got.error <= 1e-13
+    assert abs(got.expectation - ref) <= got.error + 2.0 * math.ulp(ref)
+
+
+def test_exact_at_cap_matches_monte_carlo():
+    A = generate(FamilySpec("random", ENUM_CAP, c0=4.0, seed=40))
+    got = exact_expectation(A)
+    assert got.error <= 1e-12
+    assert got.to_json_dict()["error"] == got.error
+    mc = mc_expectation(A, samples=200_000, seed=3)
+    assert abs(got.expectation - mc.expectation) <= 6.0 * mc.stderr
 
 
 # ---------------------------------------------------------------------------

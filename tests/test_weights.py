@@ -52,8 +52,12 @@ def test_make_unit_rejects_bad_input():
         make_unit([1.0, float("nan")])
     with pytest.raises(ValidationError):
         make_unit([1.0, float("inf")])
-    with pytest.raises(ValidationError):  # squares overflow: no nan weights
-        make_unit([1e300, 2e300])
+
+
+def test_make_unit_survives_overflow_and_underflow_of_squares():
+    ref = make_unit([1.0, 2.0])
+    for scale in (1e200, 1e300, 1e-200, 1e-300):
+        np.testing.assert_array_equal(make_unit([scale, 2.0 * scale]).a, ref.a)
 
 
 def test_weight_vector_is_read_only():
