@@ -31,60 +31,50 @@ _METHODS = ("auto", "truncated_power", "convolution", "fourier")
 # truncated-power closed form
 
 
-class _TruncatedPower:
-    """Shared subset-sum state for repeated evaluations with one weight set."""
+def _truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B(x|a) at every x of xs from one subset-sum table built for this call.
 
-    def __init__(self, weights: np.ndarray):
-        a = np.asarray(weights, dtype=np.float64)
-        self.a = a
-        self.n = a.size
-        self.total = float(np.sum(a))
-        sums = np.zeros(1)
-        lows = np.zeros(1)  # error-free low parts of the subset sums
-        signs = np.ones(1, dtype=np.int8)
-        for w in a:
-            s2, e = two_sum(sums, w)
-            sums = np.concatenate([sums, s2])
-            lows = np.concatenate([lows, lows + e])
-            signs = np.concatenate([signs, -signs])
-        self.sums = sums
-        self.lows = lows
-        self.signs = signs
-        self.norm = math.factorial(self.n - 1) * float(np.prod(a))
+    The table holds all 2^n subset sums of a (high and error-free low parts)
+    and their inclusion-exclusion signs; it is dropped when the call returns.
+    """
+    n = a.size
+    if n > TRUNCATED_POWER_CAP:
+        raise CapabilityError(
+            f"truncated-power form capped at n = {TRUNCATED_POWER_CAP} "
+            "(inclusion-exclusion cancellation); use eval_convolution"
+        )
+    total = float(np.sum(a))
+    sums = np.zeros(1)
+    lows = np.zeros(1)  # error-free low parts of the subset sums
+    signs = np.ones(1, dtype=np.int8)
+    for w in a:
+        s2, e = two_sum(sums, w)
+        sums = np.concatenate([sums, s2])
+        lows = np.concatenate([lows, lows + e])
+        signs = np.concatenate([signs, -signs])
+    del s2, e  # 2^(n-1) values each, not needed by the evaluations
+    norm = math.factorial(n - 1) * float(np.prod(a))
 
-    def value(self, x: float) -> float:
-        x = float(x)
-        if x <= 0.0 or x >= self.total:
+    def value(x: float) -> float:
+        # a function per point, so its 2^(n-1)-sized temporaries are freed
+        # before the next point allocates its own
+        if x <= 0.0 or x >= total:
             return 0.0
-        n = self.n
-        if n == 1:
-            return 1.0 / self.a[0]
-        mask = self.sums < x
-        s = self.sums[mask]
-        sg = self.signs[mask].astype(np.float64)
+        mask = sums < x
+        s = sums[mask]
+        sg = signs[mask].astype(np.float64)
         if n < _DD_THRESHOLD:
             acc = fsum(sg * (x - s) ** (n - 1))
         else:
             # per-term rounding of (x-s)^(n-1) dominates at large n; form the
             # differences and powers in double-double and sum high/low exactly
             dh, e = two_sum(x, -s)
-            dh, dl = two_sum(dh, e - self.lows[mask])
+            dh, dl = two_sum(dh, e - lows[mask])
             ph, pl = dd_pow(dh, dl, n - 1)
             acc = fsum(sg * ph) + fsum(sg * pl)
-        return max(acc / self.norm, 0.0)
+        return max(acc / norm, 0.0)
 
-
-_TP_CACHE: dict[bytes, _TruncatedPower] = {}
-
-
-def _tp_for(weights: np.ndarray) -> _TruncatedPower:
-    key = np.asarray(weights, dtype=np.float64).tobytes()
-    tp = _TP_CACHE.get(key)
-    if tp is None:
-        if len(_TP_CACHE) >= 4:
-            _TP_CACHE.clear()
-        tp = _TP_CACHE[key] = _TruncatedPower(weights)
-    return tp
+    return np.array([value(float(x)) for x in xs])
 
 
 def truncated_power_raw(weights, x: float) -> float:
@@ -92,12 +82,7 @@ def truncated_power_raw(weights, x: float) -> float:
     a = np.asarray(weights, dtype=np.float64)
     if a.size == 0 or np.any(a <= 0):
         raise ValidationError("weights must be positive")
-    if a.size > TRUNCATED_POWER_CAP:
-        raise CapabilityError(
-            f"truncated-power form capped at n = {TRUNCATED_POWER_CAP} "
-            "(inclusion-exclusion cancellation); use eval_convolution"
-        )
-    return _tp_for(a).value(x)
+    return float(_truncated_power(a, np.array([float(x)]))[0])
 
 
 def eval_truncated_power(A: WeightVector, x: float) -> float:
@@ -258,12 +243,14 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
         T = freq_cutoff if freq_cutoff is not None else max(20.0, 4.0 / a[0])
         tail_err = 0.0
     else:
-        prod_inv = float(np.prod(2.0 / a))
-        T = (2.0 * prod_inv / ((n - 1) * np.pi * quad_tol)) ** (1.0 / (n - 1))
+        # log of prod(2/a_k): the product itself overflows from n ~ 210 on
+        log_inv = float(np.sum(np.log(2.0 / a)))
+        T = math.exp((log_inv - math.log(0.5 * (n - 1) * np.pi * quad_tol))
+                     / (n - 1))
         T = max(T, 2.0 / a[0], 20.0)
         if freq_cutoff is not None:
             T = max(freq_cutoff, 2.0 / a[0])
-        tail_err = prod_inv * T ** (1 - n) / ((n - 1) * np.pi)
+        tail_err = math.exp(log_inv - (n - 1) * math.log(T)) / ((n - 1) * np.pi)
 
     wmax = 0.5 * float(np.sum(a)) + float(np.max(np.abs(theta))) + 1.0
     panels = int(np.ceil(T * 2.0 * wmax / np.pi))
@@ -326,8 +313,7 @@ def density_profile(A: WeightVector, grid, method: str = "auto",
     m = _resolve_method(A, method)
     grid = np.asarray(grid, dtype=np.float64)
     if m == "truncated_power":
-        tp = _tp_for(A.a)
-        vals = np.array([tp.value(x) for x in grid])
+        vals = _truncated_power(A.a, grid)
         tol = 1e-9
     elif m == "convolution":
         prof = eval_convolution(A, grid_step or _auto_conv_step(A, 2.5e-4))

@@ -24,7 +24,7 @@ from .gap import (
     threshold_probe,
 )
 from .io import dumps_csv, dumps_json, write_text
-from .rademacher import f_function
+from .rademacher import MC_SAMPLES, f_function
 from .saddlepoint import convergence_report
 from .weights import FamilySpec, WeightVector, center, generate, make_unit
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expect", help="Rademacher expectation E|sum a_k e_k|")
     _add_weight_flags(p)
-    p.add_argument("--samples", type=int, default=4 * 10**5)
+    p.add_argument("--samples", type=int, default=MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     common(p, ("auto", "exact", "monte_carlo"))
     p.set_defaults(func=cmd_expect)

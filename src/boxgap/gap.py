@@ -18,7 +18,13 @@ from scipy.optimize import minimize
 
 from .boxspline import TRUNCATED_POWER_CAP, _resolve_method, max_value
 from .errors import ValidationError
-from .rademacher import ENUM_CAP, exact_expectation, f_function, mc_expectation
+from .rademacher import (
+    ENUM_CAP,
+    MC_SAMPLES,
+    exact_expectation,
+    f_function,
+    mc_expectation,
+)
 from .saddlepoint import GAUSS_PEAK
 from .weights import FamilySpec, WeightVector, generate, ratio
 
@@ -72,13 +78,12 @@ def _expectation(A: WeightVector, exp_method: str, mc_samples: int, seed: int):
     raise ValidationError(f"unknown expectation method {exp_method!r}")
 
 
-def gap(A: WeightVector, phi_method: str = "auto", exp_method: str = "auto",
-        f_tol: float = 1e-4, mc_samples: int = 4 * 10**5,
+def gap(A: WeightVector, phi_method: str = "auto", f_tol: float = 1e-4,
         seed: int = 0) -> GapReport:
     """Gap report with both the true gap and the F(a_n^-2) lower-bound gap."""
     phi_method = _resolve_method(A, phi_method)
     phi0 = max_value(A, phi_method)
-    summary = _expectation(A, exp_method, mc_samples, seed)
+    summary = _expectation(A, "auto", MC_SAMPLES, seed)
     g = phi0 * summary.expectation - 1.0
     f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
     lower = phi0 * f_an - 1.0

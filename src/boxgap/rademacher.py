@@ -35,6 +35,7 @@ ENUM_CAP = 40
 _CHUNK_BITS = 16  # x chunks of 2^16 keep the search buffers near 2 MB
 _EPS = float(np.finfo(np.float64).eps)
 MC_MIN_SAMPLES = 10**4
+MC_SAMPLES = 4 * 10**5  # default Monte Carlo draws past ENUM_CAP
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 

@@ -64,7 +64,7 @@ def _factor_derivs(u: np.ndarray):
     sh = np.sinh(half)
     g1[mid] = 1.0 / -np.expm1(-um) - 1.0 / um
     g2[mid] = 1.0 / um**2 - 0.25 / sh**2
-    g3[mid] = -2.0 / um**3 + 0.25 * np.cosh(half) / sh**3
+    g3[mid] = -2.0 / um**3 + 0.25 / (np.tanh(half) * sh**2)
     ub = u[big]
     g1[big] = np.where(ub > 0, 1.0 - 1.0 / ub, -1.0 / ub)
     g2[big] = 1.0 / ub**2
@@ -93,43 +93,30 @@ class SaddleSolution:
 
 
 def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSolution:
-    """Solve K'(s0) = x by safeguarded Newton (bracketed bisection fallback)."""
+    """Solve K'(s0) = x by Newton's method from the Gaussian start 12 (x - c).
+
+    No bracket is needed.  K''(s) is the variance of the exponentially tilted
+    sum and falls as |s| grows, so K' is concave for s > 0 and convex for
+    s < 0.  The start 12 (x - c) is the first Newton step from s = 0
+    (K'(0) = c, K''(0) = 1/12), which lands between 0 and s0; from there the
+    iterates move monotonically to s0 without overshooting (Fourier's
+    condition).
+    """
     x = float(x)
     total = A.total
     if not (0.0 < x < total):
         raise DomainError(f"no saddle point: x must lie in (0, {total:g})")
     tol = 1e-12 * max(1.0, abs(x))
-    # slope-12 linearization seeds both the iterate and the bracket
     s = 12.0 * (x - center(A))
-    step = 1.0
-    lo, hi = s - step, s + step
-    while cgf_derivs(A, lo)[0] >= x:
-        step *= 2.0
-        lo -= step
-    step = 1.0
-    while cgf_derivs(A, hi)[0] <= x:
-        step *= 2.0
-        hi += step
-    best_s, best_f = s, math.inf
     for it in range(1, max_iter + 1):
         kp, kpp, _ = cgf_derivs(A, s)
         f = kp - x
-        if abs(f) < abs(best_f):
-            best_s, best_f = s, f
         if abs(f) <= tol:
             return SaddleSolution(x=x, s0=s, K=cgf(A, s), Kp=kp, Kpp=kpp,
                                   iterations=it, residual=abs(f))
-        if f > 0:
-            hi = s
-        else:
-            lo = s
-        s_new = s - f / kpp
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
+        s -= f / kpp
     raise NumericalError(
-        f"saddle solve did not converge in {max_iter} iterations "
-        f"(best residual {abs(best_f):g} at s = {best_s:g})")
+        f"saddle solve did not converge in {max_iter} iterations at x = {x:g}")
 
 
 def saddle_density(A: WeightVector, x: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,10 +79,12 @@ def test_symmetry_about_center(n):
     c = center(A)
     # the double-double path at large n costs seconds per point
     points = 25 if n <= 13 else 3
-    for t in np.linspace(0.01, 0.9 * c, points):
-        left = eval_truncated_power(A, c - t)
-        right = eval_truncated_power(A, c + t)
-        assert abs(left - right) <= 1e-9
+    t = np.linspace(0.01, 0.9 * c, points)
+    # one call, so the 2^n subset-sum table is built once for all points
+    values = density_profile(A, np.concatenate([c - t, c + t]),
+                             "truncated_power").values
+    left, right = values[:points], values[points:]
+    assert np.all(np.abs(left - right) <= 1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 12])
@@ -141,6 +144,8 @@ def test_capability_cap():
     A = generate(FamilySpec("equal", TRUNCATED_POWER_CAP + 1))
     with pytest.raises(CapabilityError):
         eval_truncated_power(A, center(A))
+    with pytest.raises(CapabilityError):  # an explicit method obeys the cap
+        density_profile(A, [center(A)], method="truncated_power")
     # density_profile auto falls back to the convolution oracle
     prof = density_profile(A, [center(A)], method="auto")
     assert prof.method == "convolution"
@@ -201,6 +206,20 @@ def test_max_value_center_identity():
         A = _random_A(n, seed=seed)
         assert max_value(A) == pytest.approx(
             eval_truncated_power(A, center(A)), abs=1e-12)
+
+
+def test_max_value_keeps_no_table():
+    # the 2^18 subset-sum table (about 4.5 MB) is freed when the call returns;
+    # n = 18 because tracemalloc triples the cost of the call
+    A = _random_A(18, seed=31)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        max_value(A)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 2**20
 
 
 def test_phi_far_from_center_positive_small():

@@ -48,6 +48,15 @@ def test_eval_fourier_plateau(capsys):
     assert d["method"] == "fourier"
 
 
+def test_eval_fourier_past_product_overflow(capsys):
+    # prod(2/a_k) overflows from n ~ 210 on; Fourier works with its logarithm
+    argv = ("eval", "--random", "400,4,3", "--at", "center", "--method")
+    fourier = run_json(capsys, *argv, "fourier")
+    convolution = run_json(capsys, *argv, "convolution")
+    assert fourier["values"][0] == pytest.approx(convolution["values"][0],
+                                                 abs=1e-5)
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--weights", "1", "--grid", "0:1:0.5",
                        "--format", "csv")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,47 @@ def test_solve_saddle_domain_errors():
     for x in [0.0, -0.3, A.total, A.total + 1.0]:
         with pytest.raises(DomainError):
             solve_saddle(A, x)
+
+
+def _bisect_saddle(A, x):
+    """Test-only oracle: bisection on K' inside a doubled bracket."""
+    lo, hi = -1.0, 1.0
+    while cgf_derivs(A, lo)[0] >= x:
+        lo *= 2.0
+    while cgf_derivs(A, hi)[0] <= x:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if cgf_derivs(A, mid)[0] < x:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 26])
+def test_solve_saddle_matches_bisection_oracle(n):
+    A = _random_A(n, seed=n) if n > 1 else make_unit([1.0])
+    for frac in [1e-9, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9]:
+        x = frac * A.total
+        sol = solve_saddle(A, x)
+        tol = 1e-12 * max(1.0, abs(x))
+        assert abs(sol.Kp - x) <= tol
+        s_ref = _bisect_saddle(A, x)
+        # a residual within tol pins s0 only to tol / K''(s0); that width
+        # exceeds 1e-9 |s0| within 1e-9 of the support ends, where K'' ~ n/s^2
+        assert abs(sol.s0 - s_ref) <= max(1e-9 * abs(s_ref), tol / sol.Kpp)
+
+
+def test_saddle_density_near_support_end_is_warning_free():
+    # factors with |a s| in (474, 600] used to overflow sinh^3 in the third
+    # derivative of the CGF
+    A = generate(FamilySpec("equal", 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = saddle_density(A, A.total - 8.0 / 1500.0)
+    assert 0.0 < value < 1e-10
 
 
 def test_saddle_density_center_identity():
