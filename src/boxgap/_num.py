@@ -1,62 +1,11 @@
-"""Low-level numerical helpers: compensated and double-double arithmetic.
-
-The inclusion-exclusion sum behind the truncated-power box-spline formula
-cancels catastrophically as n grows.  Exact accumulation (math.fsum) removes
-the summation error, but for n beyond ~12 the rounding of the individual
-terms (x - s)^(n-1) already exceeds the target accuracy, so those terms are
-formed in double-double precision (Dekker/Knuth error-free transformations)
-and the high/low parts are fsum-ed separately.
-"""
+"""Low-level numerical helpers: exact float summation (math.fsum over
+arrays) and composite Gauss-Legendre panels."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def two_sum(a, b):
-    """Error-free sum: returns (s, e) with s = fl(a+b) and a + b = s + e."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    return s, e
-
-
-def two_prod(a, b):
-    """Error-free product via Dekker splitting: a * b = p + e."""
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
-def dd_mul(xh, xl, yh, yl):
-    """Double-double multiply: (xh+xl) * (yh+yl), result normalized."""
-    p, e = two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    return two_sum(p, e)
-
-
-def dd_pow(xh, xl, k: int):
-    """Integer power of a double-double array by square-and-multiply."""
-    rh = np.ones_like(xh)
-    rl = np.zeros_like(xh)
-    bh, bl = xh, xl
-    while k > 0:
-        if k & 1:
-            rh, rl = dd_mul(rh, rl, bh, bl)
-        k >>= 1
-        if k:
-            bh, bl = dd_mul(bh, bl, bh, bl)
-    return rh, rl
 
 
 def fsum(values) -> float:

@@ -5,7 +5,9 @@ equivalently the (n-1)-volume of the central hyperplane slice of the unit
 cube, shifted so the support is [0, sum a_j].  Three independent routes are
 provided:
 
-* truncated_power - the inclusion-exclusion closed form (exact, n <= 24),
+* truncated_power - the inclusion-exclusion closed form, n <= 24: float
+                    terms summed exactly for n <= 12, and from n = 13 on an
+                    integer sweep that returns correctly rounded values,
 * convolution     - n sliding-window convolutions of uniform cell masses,
 * fourier         - numerical inversion of the product-of-sinc transform.
 """
@@ -18,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import sici
 
-from ._num import dd_pow, fsum, gl_panels, two_sum
-from .errors import CapabilityError, NumericalError, ValidationError
+from ._num import fsum, gl_panels
+from .errors import CapabilityError, DomainError, NumericalError, ValidationError
 from .weights import WeightVector, center
 
 TRUNCATED_POWER_CAP = 24
-_DD_THRESHOLD = 13  # double-double term evaluation from this n on
+_EXACT_FROM = 13  # exact integer sweep from this n on; plain floats below
 _METHODS = ("auto", "truncated_power", "convolution", "fourier")
 
 
@@ -31,58 +33,125 @@ _METHODS = ("auto", "truncated_power", "convolution", "fourier")
 # truncated-power closed form
 
 
-def _truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """B(x|a) at every x of xs from one subset-sum table built for this call.
+def _check_points(xs) -> None:
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("evaluation points must be finite")
 
-    The table holds all 2^n subset sums of a (high and error-free low parts)
-    and their inclusion-exclusion signs; it is dropped when the call returns.
+
+def _float_truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B(x|a) from the 2^n float subset sums, each term rounded once.
+
+    math.fsum adds the terms exactly, so the error is the rounding of the
+    terms (x - s)^(n-1), which the ~n^n/n! cancellation amplifies: fine for
+    n < _EXACT_FROM, where this is faster than the integer sweep.
     """
     n = a.size
-    if n > TRUNCATED_POWER_CAP:
-        raise CapabilityError(
-            f"truncated-power form capped at n = {TRUNCATED_POWER_CAP} "
-            "(inclusion-exclusion cancellation); use eval_convolution"
-        )
     total = float(np.sum(a))
     sums = np.zeros(1)
-    lows = np.zeros(1)  # error-free low parts of the subset sums
     signs = np.ones(1, dtype=np.int8)
     for w in a:
-        s2, e = two_sum(sums, w)
-        sums = np.concatenate([sums, s2])
-        lows = np.concatenate([lows, lows + e])
+        sums = np.concatenate([sums, sums + w])
         signs = np.concatenate([signs, -signs])
-    del s2, e  # 2^(n-1) values each, not needed by the evaluations
     norm = math.factorial(n - 1) * float(np.prod(a))
 
     def value(x: float) -> float:
-        # a function per point, so its 2^(n-1)-sized temporaries are freed
-        # before the next point allocates its own
         if x <= 0.0 or x >= total:
             return 0.0
         mask = sums < x
-        s = sums[mask]
-        sg = signs[mask].astype(np.float64)
-        if n < _DD_THRESHOLD:
-            acc = fsum(sg * (x - s) ** (n - 1))
-        else:
-            # per-term rounding of (x-s)^(n-1) dominates at large n; form the
-            # differences and powers in double-double and sum high/low exactly
-            dh, e = two_sum(x, -s)
-            dh, dl = two_sum(dh, e - lows[mask])
-            ph, pl = dd_pow(dh, dl, n - 1)
-            acc = fsum(sg * ph) + fsum(sg * pl)
+        acc = fsum(signs[mask] * (x - sums[mask]) ** (n - 1))
         return max(acc / norm, 0.0)
 
     return np.array([value(float(x)) for x in xs])
 
 
+def _signed_subset_sums(w: list[int]) -> list[tuple[int, int]]:
+    """All (sum of S, (-1)^|S|) over the subsets S of the integers w."""
+    out = [(0, 1)]
+    for v in w:
+        out += [(s + v, -g) for s, g in out]
+    return out
+
+
+def _exact_truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B(x|a) at every x of xs, each the correctly rounded value.
+
+    Every float is a dyadic rational, so on the common scale D (the largest
+    denominator among the weights and the points) the weights W_k and a
+    point X are integers, and
+        (n-1)! prod(W) B(x) / D = N(X) = sum_S (-1)^|S| (X - s_S)_+^(n-1)
+    is an integer.  The weights are split in halves P and Q (Horowitz-Sahni
+    1974).  For a subset sum s1 of P, the Q subsets with s2 < Y = X - s1
+    contribute sum_j C(n-1, j) (-1)^j M_j Y^(n-1-j), where
+    M_j = sum (-1)^|S2| s2^j runs over those s2.  Taking s1 in descending
+    order makes Y ascend, so the moments M_j grow by a sweep over Q's sorted
+    sums: O(n 2^(n/2)) integer multiply-adds per point, with no rounding
+    until the final division.
+    """
+    n = a.size
+    ratios = [float(w).as_integer_ratio() for w in a]
+    ratios += [x.as_integer_ratio() for x in map(float, xs) if x > 0.0]
+    D = max(den for _, den in ratios)  # a power of two: every den divides it
+    W = [num * (D // den) for num, den in ratios[:n]]
+    total = sum(W)
+    half = n // 2
+    p_desc = sorted(_signed_subset_sums(W[:half]), reverse=True)
+    q_asc = sorted(_signed_subset_sums(W[half:]))
+    coef = [(-1) ** j * math.comb(n - 1, j) for j in range(n)]
+    denom = math.factorial(n - 1) * math.prod(W)
+
+    def count(X: int) -> int:
+        X = min(X, total - X)  # B is symmetric about total/2
+        moments = [0] * n
+        it = iter(q_asc)
+        nxt = next(it, None)
+        N = 0
+        for s1, g1 in p_desc:
+            Y = X - s1
+            if Y <= 0:
+                continue
+            while nxt is not None and nxt[0] < Y:
+                s2, p = nxt
+                for j in range(n):
+                    moments[j] += p
+                    p *= s2
+                nxt = next(it, None)
+            h = 0
+            for c, m in zip(coef, moments):
+                h = h * Y + c * m
+            N += h if g1 > 0 else -h
+        return N
+
+    out = np.zeros(len(xs))
+    for i, x in enumerate(map(float, xs)):
+        if x > 0.0:
+            num, den = x.as_integer_ratio()
+            X = num * (D // den)
+            if X < total:
+                out[i] = count(X) * D / denom
+    return out
+
+
+def _truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """B(x|a) at every x of xs: plain floats for small n, exact beyond."""
+    n = a.size
+    if n > TRUNCATED_POWER_CAP:
+        raise CapabilityError(
+            f"truncated-power form capped at n = {TRUNCATED_POWER_CAP} "
+            "(the exact sweep grows like 2^(n/2)); use eval_convolution"
+        )
+    if n < _EXACT_FROM:
+        return _float_truncated_power(a, xs)
+    return _exact_truncated_power(a, xs)
+
+
 def truncated_power_raw(weights, x: float) -> float:
     """Closed-form evaluation for arbitrary positive weights (no unit norm)."""
     a = np.asarray(weights, dtype=np.float64)
-    if a.size == 0 or np.any(a <= 0):
-        raise ValidationError("weights must be positive")
-    return float(_truncated_power(a, np.array([float(x)]))[0])
+    if a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
+        raise ValidationError("weights must be positive and finite")
+    xs = np.array([float(x)])
+    _check_points(xs)
+    return float(_truncated_power(a, xs)[0])
 
 
 def eval_truncated_power(A: WeightVector, x: float) -> float:
@@ -312,9 +381,12 @@ def density_profile(A: WeightVector, grid, method: str = "auto",
     """Evaluate B(.|A) on an explicit grid with the chosen method."""
     m = _resolve_method(A, method)
     grid = np.asarray(grid, dtype=np.float64)
+    _check_points(grid)
     if m == "truncated_power":
         vals = _truncated_power(A.a, grid)
-        tol = 1e-9
+        # the exact sweep rounds once; the float path keeps a fixed budget
+        tol = (float(np.max(np.spacing(vals), initial=0.0)) / 2.0
+               if A.n >= _EXACT_FROM else 1e-9)
     elif m == "convolution":
         prof = eval_convolution(A, grid_step or _auto_conv_step(A, 2.5e-4))
         vals = prof.value_at(grid)

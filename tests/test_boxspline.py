@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from boxgap.boxspline import (
     section_volume_mc,
     truncated_power_raw,
 )
-from boxgap.errors import CapabilityError, NumericalError, ValidationError
+from boxgap.errors import (CapabilityError, DomainError, NumericalError,
+                           ValidationError)
 from boxgap.weights import FamilySpec, WeightVector, center, generate, make_unit
 
 
@@ -69,6 +71,45 @@ def test_truncated_power_raw_unnormalized():
     assert truncated_power_raw(a, 0.5) == pytest.approx(0.5, abs=1e-15)
 
 
+def _equal_oracle(n, w, x):
+    """B(x | w,...,w) = sum_k (-1)^k C(n,k) (x - k w)_+^(n-1) / ((n-1)! w^n)."""
+    w, x = Fraction(w), Fraction(x)
+    acc = sum((-1) ** k * math.comb(n, k) * (x - k * w) ** (n - 1)
+              for k in range(n + 1) if x > k * w)
+    return acc / (math.factorial(n - 1) * w**n)
+
+
+def _subset_oracle(a, x):
+    """The truncated-power sum over all 2^n subsets, in exact rationals."""
+    a = [Fraction(float(w)) for w in a]
+    x = Fraction(float(x))
+    sums = [(Fraction(0), 1)]
+    for w in a:
+        sums += [(s + w, -g) for s, g in sums]
+    acc = sum(g * (x - s) ** (len(a) - 1) for s, g in sums if s < x)
+    return acc / (math.factorial(len(a) - 1) * math.prod(a))
+
+
+@pytest.mark.parametrize("n", range(13, TRUNCATED_POWER_CAP + 1))
+def test_exact_path_bit_equal_to_equal_weight_oracle(n):
+    A = generate(FamilySpec("equal", n))
+    w = float(A.a[0])
+    assert np.all(A.a == w)
+    xs = [center(A), center(A) - w / 4.0, 0.3 * A.total]
+    prof = density_profile(A, xs, "truncated_power")
+    for x, v in zip(xs, prof.values):
+        assert v == float(_equal_oracle(n, w, x))
+    # one rounding per value: the stated tolerance is the largest half ulp
+    assert prof.tolerance == max(np.spacing(prof.values)) / 2.0
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_exact_path_bit_equal_to_subset_oracle(seed):
+    A = _random_A(13, seed=seed)
+    for x in [center(A), 0.3 * A.total]:
+        assert eval_truncated_power(A, x) == float(_subset_oracle(A.a, x))
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -77,10 +118,10 @@ def test_truncated_power_raw_unnormalized():
 def test_symmetry_about_center(n):
     A = _random_A(n, seed=n)
     c = center(A)
-    # the double-double path at large n costs seconds per point
+    # fewer points past n = 13 keep the large-n cases short
     points = 25 if n <= 13 else 3
     t = np.linspace(0.01, 0.9 * c, points)
-    # one call, so the 2^n subset-sum table is built once for all points
+    # one call, so the subset sums are built once for all points
     values = density_profile(A, np.concatenate([c - t, c + t]),
                              "truncated_power").values
     left, right = values[:points], values[points:]
@@ -152,6 +193,23 @@ def test_capability_cap():
     assert prof.values[0] == pytest.approx(math.sqrt(6.0 / math.pi), abs=0.01)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_truncated_power_rejects_non_finite_weights(bad):
+    with pytest.raises(ValidationError):
+        truncated_power_raw([bad, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_truncated_power_rejects_non_finite_points(n, x):
+    A = _random_A(n, seed=n)
+    with pytest.raises(DomainError):
+        eval_truncated_power(A, x)
+    for method in ["auto", "convolution", "fourier"]:
+        with pytest.raises(DomainError):
+            density_profile(A, [center(A), x], method)
+
+
 def test_method_validation():
     A = make_unit([1.0, 2.0])
     with pytest.raises(ValidationError):
@@ -209,8 +267,7 @@ def test_max_value_center_identity():
 
 
 def test_max_value_keeps_no_table():
-    # the 2^18 subset-sum table (about 4.5 MB) is freed when the call returns;
-    # n = 18 because tracemalloc triples the cost of the call
+    # the subset sums are freed when the call returns
     A = _random_A(18, seed=31)
     tracemalloc.start()
     try:
@@ -220,6 +277,20 @@ def test_max_value_keeps_no_table():
     finally:
         tracemalloc.stop()
     assert after - before <= 2**20
+
+
+def test_max_value_memory_stays_small():
+    # the exact sweep keeps 2^10-sized integer lists at n = 20, where a
+    # table of all 2^20 subset sums would take 8 MB per float array
+    A = _random_A(20, seed=32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        max_value(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 4 * 2**20
 
 
 def test_phi_far_from_center_positive_small():

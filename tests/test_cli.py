@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxgap import cli
+from boxgap.boxspline import TRUNCATED_POWER_CAP
 from boxgap.cli import EXIT_ERROR, EXIT_OK, main
 from boxgap.rademacher import ENUM_CAP
 
@@ -244,6 +245,21 @@ def test_gap_random_exit_code_contract(n, c0, seed):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(["gap", "--random", f"{n},{c0!r},{seed}"])
     assert code in (EXIT_OK, EXIT_ERROR)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, TRUNCATED_POWER_CAP + 2), c0=st.floats(1.0, 8.0),
+       seed=st.integers(0, 2**32), method=st.sampled_from(["auto", "truncated_power"]),
+       at=st.sampled_from(["center", "nan", "inf", "-inf"]))
+def test_eval_random_exit_code_contract(n, c0, seed, method, at):
+    # 2 only for a point off the real line or truncated power past its cap;
+    # auto falls back to convolution there
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(["eval", "--random", f"{n},{c0!r},{seed}", f"--at={at}",
+                     "--method", method])
+    capped = method == "truncated_power" and n > TRUNCATED_POWER_CAP
+    assert code == (EXIT_ERROR if capped or at != "center" else EXIT_OK)
 
 
 def test_mutually_exclusive_weight_flags(capsys):
