@@ -18,67 +18,66 @@ from .boxspline import density_profile
 from .errors import DomainError, NumericalError
 from .weights import FamilySpec, WeightVector, center, generate
 
-_SERIES_CUT = 1e-4   # |a_i s| below which the CGF uses its Taylor series
-_DERIV_CUT = 5e-2    # wider series window for derivatives (cancellation)
-_OVERFLOW = 700.0
+_SMALL = 5e-2     # |u| below which g(u) = ln((e^u - 1)/u) uses its series
+_LARGE = 600.0    # |u| above which g(u) uses its asymptote (e^-|u| < 1e-260)
+_POWERS = np.arange(4.0)[:, None]
 
 GAUSS_PEAK = math.sqrt(6.0 / math.pi)
 
 
-def _per_factor_log(u: np.ndarray) -> np.ndarray:
-    """ln((e^u - 1)/u) with series, asymptotic, and overflow branches."""
-    out = np.empty_like(u)
-    small = np.abs(u) < _SERIES_CUT
-    big = u > _OVERFLOW
-    neg = u < -_OVERFLOW
-    mid = ~(small | big | neg)
-    us = u[small]
-    out[small] = us / 2.0 + us**2 / 24.0 - us**4 / 2880.0
-    um = u[mid]
-    out[mid] = np.log(np.expm1(um) / um)
-    out[big] = u[big] - np.log(u[big])
-    out[neg] = -np.log(-u[neg])
-    return out
+def _factor_terms(u: np.ndarray) -> np.ndarray:
+    """Rows g, g', g'', g''' of g(u) = ln((e^u - 1)/u), one column per u.
+
+    The closed forms run on the whole array in one pass.  Entries with |u|
+    outside [_SMALL, _LARGE], if any, are set to 1 there and patched: by
+    the Taylor series below (its u^6 term keeps g within 3e-16 at the cut)
+    and by the asymptotes max(u, 0) - ln|u|, [u > 0] - 1/u, 1/u^2, -2/u^3
+    above.
+    """
+    au = np.abs(u)
+    edge = not (_SMALL <= np.minimum.reduce(au)
+                and np.maximum.reduce(au) <= _LARGE)
+    if edge:
+        small = au < _SMALL
+        big = au > _LARGE
+        w = np.where(small | big, 1.0, u)
+    else:
+        w = u
+    e = np.expm1(w)
+    qe = 1.0 / e
+    qm = 1.0 / np.expm1(-w)
+    r = 1.0 / w
+    c = qe * qm                       # -1/(4 sinh^2(w/2))
+    g = np.array([np.log(e * r), -qm - r, r * r + c,
+                  -(1.0 + 2.0 * qe) * c - 2.0 * r**3])
+    if edge:
+        us = u[small]
+        u2 = us * us
+        g[:, small] = [us * (0.5 + us * (1 / 24 + u2 * (-1 / 2880 + u2 / 181440))),
+                       0.5 + us * (1 / 12 + u2 * (-1 / 720 + u2 / 30240)),
+                       1 / 12 + u2 * (-1 / 240 + u2 / 6048),
+                       us * (-1 / 120 + u2 / 1512)]
+        ub = u[big]
+        rb = 1.0 / ub
+        pos = ub > 0.0
+        g[:, big] = [np.where(pos, ub, 0.0) - np.log(np.abs(ub)), pos - rb,
+                     rb * rb, -2.0 * rb * rb * rb]
+    return g
+
+
+def _cumulants(P: np.ndarray, s: float) -> list[float]:
+    """[K, K', K'', K'''] at s; row j of P = a ** _POWERS weighs g^(j)(a s)."""
+    return (P * _factor_terms(P[1] * s)).sum(axis=1).tolist()
 
 
 def cgf(A: WeightVector, s: float) -> float:
     """K(s); K(0) = 0 by the removable-singularity convention."""
-    u = A.a * float(s)
-    return float(np.sum(_per_factor_log(u)))
-
-
-def _factor_derivs(u: np.ndarray):
-    """First three derivatives of ln((e^u - 1)/u) per factor."""
-    g1 = np.empty_like(u)
-    g2 = np.empty_like(u)
-    g3 = np.empty_like(u)
-    small = np.abs(u) < _DERIV_CUT
-    big = np.abs(u) > 600.0
-    mid = ~(small | big)
-    us = u[small]
-    g1[small] = 0.5 + us / 12.0 - us**3 / 720.0 + us**5 / 30240.0
-    g2[small] = 1.0 / 12.0 - us**2 / 240.0 + us**4 / 6048.0
-    g3[small] = -us / 120.0 + us**3 / 1512.0
-    um = u[mid]
-    half = 0.5 * um
-    sh = np.sinh(half)
-    g1[mid] = 1.0 / -np.expm1(-um) - 1.0 / um
-    g2[mid] = 1.0 / um**2 - 0.25 / sh**2
-    g3[mid] = -2.0 / um**3 + 0.25 / (np.tanh(half) * sh**2)
-    ub = u[big]
-    g1[big] = np.where(ub > 0, 1.0 - 1.0 / ub, -1.0 / ub)
-    g2[big] = 1.0 / ub**2
-    g3[big] = -2.0 / ub**3
-    return g1, g2, g3
+    return _cumulants(A.a ** _POWERS, float(s))[0]
 
 
 def cgf_derivs(A: WeightVector, s: float):
     """(K'(s), K''(s), K'''(s)); at s = 0: (sum(a)/2, 1/12, 0) for unit A."""
-    a = A.a
-    g1, g2, g3 = _factor_derivs(a * float(s))
-    return (float(np.sum(a * g1)),
-            float(np.sum(a * a * g2)),
-            float(np.sum(a * a * a * g3)))
+    return tuple(_cumulants(A.a ** _POWERS, float(s))[1:])
 
 
 @dataclass(frozen=True)
@@ -93,35 +92,58 @@ class SaddleSolution:
 
 
 def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSolution:
-    """Solve K'(s0) = x by Newton's method from the Gaussian start 12 (x - c).
+    """Solve K'(s0) = x by Halley's method from the Gaussian start 12 (x - c).
 
-    No bracket is needed.  K''(s) is the variance of the exponentially tilted
-    sum and falls as |s| grows, so K' is concave for s > 0 and convex for
-    s < 0.  The start 12 (x - c) is the first Newton step from s = 0
-    (K'(0) = c, K''(0) = 1/12), which lands between 0 and s0; from there the
-    iterates move monotonically to s0 without overshooting (Fourier's
-    condition).
+    With f = K' - x and r = f/K'', Halley's step s -= r / (1 - r K'''/(2 K''))
+    is Newton's step on f/sqrt(f').  That function is close to linear in s
+    wherever the solve goes, so the step is nearly exact and is not clamped:
+    near the center K' is linear (K'' ~ 1/12), and in the tails
+    K' - x ~ -n/s - x, for which f/sqrt(f') = (n + x s)/sqrt(n) exactly.  The
+    ratio form never forms K''^2, which underflows in the tails.
+
+    x > total/2 is solved at total - x and mapped back with
+    K(-s) = K(s) - s total, K'(-s) = total - K'(s) and K'' even, so the
+    residual is formed at the nearer support end without cancellation and
+    the stop test |K' - x| <= 1e-12 min(x, total - x) is relative.  Where K''
+    underflows or Halley's denominator is not positive (it cancels to zero
+    within about 1e-30 total of the ends), NumericalError is raised.
     """
     x = float(x)
     total = A.total
     if not (0.0 < x < total):
         raise DomainError(f"no saddle point: x must lie in (0, {total:g})")
-    tol = 1e-12 * max(1.0, abs(x))
-    s = 12.0 * (x - center(A))
+    mirror = x > 0.5 * total
+    y = total - x if mirror else x
+    P = A.a ** _POWERS
+    tol = 1e-12 * y
+    s = 12.0 * (y - 0.5 * total)
     for it in range(1, max_iter + 1):
-        kp, kpp, _ = cgf_derivs(A, s)
-        f = kp - x
+        k, kp, kpp, kppp = _cumulants(P, s)
+        f = kp - y
         if abs(f) <= tol:
-            return SaddleSolution(x=x, s0=s, K=cgf(A, s), Kp=kp, Kpp=kpp,
+            if mirror:
+                s, k, kp = -s, k - s * total, total - kp
+            return SaddleSolution(x=x, s0=s, K=k, Kp=kp, Kpp=kpp,
                                   iterations=it, residual=abs(f))
-        s -= f / kpp
+        if not kpp > 0.0:
+            raise NumericalError(f"saddle solve: K'' underflows at x = {x:g}")
+        r = f / kpp
+        den = 1.0 - 0.5 * r * kppp / kpp
+        s -= r / den if den > 0.0 else math.nan
+        if not math.isfinite(s):
+            raise NumericalError(
+                f"saddle solve: Halley's step degenerates at x = {x:g}")
     raise NumericalError(
         f"saddle solve did not converge in {max_iter} iterations at x = {x:g}")
 
 
 def saddle_density(A: WeightVector, x: float) -> float:
-    """Saddle-point approximation (2 pi K''(s0))^(-1/2) exp(K(s0) - s0 x)."""
-    sol = solve_saddle(A, x)
+    """Saddle-point approximation (2 pi K''(s0))^(-1/2) exp(K(s0) - s0 x).
+
+    It is symmetric about the center, and is evaluated at the lower of x and
+    total - x: above the center K(s0) ~ s0 total, so K(s0) - s0 x would cancel.
+    """
+    sol = solve_saddle(A, min(x, A.total - x))
     return math.exp(sol.K - sol.s0 * sol.x) / math.sqrt(2.0 * math.pi * sol.Kpp)
 
 

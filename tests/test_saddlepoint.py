@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from boxgap.boxspline import eval_truncated_power
-from boxgap.errors import DomainError
+from boxgap.errors import DomainError, NumericalError
 from boxgap.saddlepoint import (
     GAUSS_PEAK,
+    _factor_terms,
     cgf,
     cgf_derivs,
     convergence_report,
@@ -89,34 +90,64 @@ def test_solve_saddle_domain_errors():
 
 
 def _bisect_saddle(A, x):
-    """Test-only oracle: bisection on K' inside a doubled bracket."""
+    """Test-only oracle: bisection on K'(s) = y inside a doubled bracket.
+
+    y = x up to the center.  Past it y = total - x and s0 = -s, by the mirror
+    K'(-s) = total - K'(s), so the equation is formed without cancellation.
+    """
+    mirror = x > 0.5 * A.total
+    y = A.total - x if mirror else x
     lo, hi = -1.0, 1.0
-    while cgf_derivs(A, lo)[0] >= x:
+    while cgf_derivs(A, lo)[0] >= y:
         lo *= 2.0
-    while cgf_derivs(A, hi)[0] <= x:
+    while cgf_derivs(A, hi)[0] <= y:
         hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if cgf_derivs(A, mid)[0] < x:
+        kp = cgf_derivs(A, mid)[0]
+        # K' is flat in floats around s = 0; an exact float root ends the search
+        if kp == y or not lo < mid < hi:
+            return -mid if mirror else mid
+        if kp < y:
             lo = mid
         else:
             hi = mid
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 26])
+@pytest.mark.parametrize("n", [1, 2, 8, 26, 200])
 def test_solve_saddle_matches_bisection_oracle(n):
     A = _random_A(n, seed=n) if n > 1 else make_unit([1.0])
-    for frac in [1e-9, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9]:
-        x = frac * A.total
-        sol = solve_saddle(A, x)
-        tol = 1e-12 * max(1.0, abs(x))
-        assert abs(sol.Kp - x) <= tol
-        s_ref = _bisect_saddle(A, x)
-        # a residual within tol pins s0 only to tol / K''(s0); that width
-        # exceeds 1e-9 |s0| within 1e-9 of the support ends, where K'' ~ n/s^2
-        assert abs(sol.s0 - s_ref) <= max(1e-9 * abs(s_ref), tol / sol.Kpp)
+    fracs = [1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-12]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for frac in fracs:
+            x = frac * A.total
+            sol = solve_saddle(A, x)
+            assert sol.residual <= 1e-12 * min(x, A.total - x)
+            assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
+            assert sol.iterations <= 8
+        # within about 1e-30 total of an end Halley's denominator cancels:
+        # a correct s0 or NumericalError, and nothing else
+        x = 1e-300 * A.total
+        try:
+            sol = solve_saddle(A, x)
+        except NumericalError:
+            return
+        assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("cut, bounds", [
+    # at 5e-2 the closed forms of g'' and g''' lose digits to cancellation
+    # (about 1e-13 and 3e-8 there); g''' only steers Halley's step
+    (5e-2, (1e-14, 1e-14, 1e-11, 3e-7)),
+    (600.0, (1e-14, 1e-14, 1e-14, 1e-14)),
+])
+def test_factor_terms_continuous_at_cutovers(cut, bounds, sign):
+    inside = _factor_terms(np.array([sign * np.nextafter(cut, 0.0)]))[:, 0]
+    outside = _factor_terms(np.array([sign * np.nextafter(cut, np.inf)]))[:, 0]
+    for j, bound in enumerate(bounds):
+        assert abs(inside[j] - outside[j]) <= bound * abs(outside[j]), j
 
 
 def test_saddle_density_near_support_end_is_warning_free():
@@ -127,6 +158,16 @@ def test_saddle_density_near_support_end_is_warning_free():
         warnings.simplefilter("error")
         value = saddle_density(A, A.total - 8.0 / 1500.0)
     assert 0.0 < value < 1e-10
+
+
+def test_saddle_density_symmetric_about_center():
+    # above the center K(s0) ~ s0 total, so K(s0) - s0 x taken there cancels
+    # (about 1e-6 relative at 1e-9 total from the upper end)
+    A = _random_A(8, seed=8)
+    for frac in (1e-3, 1e-6, 1e-9, 1e-12):
+        upper = A.total - frac * A.total
+        lower = saddle_density(A, A.total - upper)
+        assert abs(saddle_density(A, upper) - lower) <= 1e-13 * lower
 
 
 def test_saddle_density_center_identity():
