@@ -101,12 +101,21 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
     K' - x ~ -n/s - x, for which f/sqrt(f') = (n + x s)/sqrt(n) exactly.  The
     ratio form never forms K''^2, which underflows in the tails.
 
+    Where weights of very different sizes put some factors in their tails
+    and others near their centers, f/sqrt(f') is not monotone and Halley's
+    denominator can turn negative (for A ~ (1e-6, 1) at x = a_1/4 it does
+    on the second step); in a far tail it also cancels, as 1 - (1 + x s/n),
+    to zero.  There Newton's step is taken instead.  A denominator <= 0
+    needs r K''' > 0, and K''' > 0 for s < 0, so such an s < 0 lies above
+    s0, where K' is convex and Newton's step moves toward s0 without
+    passing it.
+
     x > total/2 is solved at total - x and mapped back with
     K(-s) = K(s) - s total, K'(-s) = total - K'(s) and K'' even, so the
     residual is formed at the nearer support end without cancellation and
     the stop test |K' - x| <= 1e-12 min(x, total - x) is relative.  Where K''
-    underflows or Halley's denominator is not positive (it cancels to zero
-    within about 1e-30 total of the ends), NumericalError is raised.
+    underflows, or the solve has not converged in max_iter steps,
+    NumericalError is raised.
     """
     x = float(x)
     total = A.total
@@ -129,10 +138,7 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
             raise NumericalError(f"saddle solve: K'' underflows at x = {x:g}")
         r = f / kpp
         den = 1.0 - 0.5 * r * kppp / kpp
-        s -= r / den if den > 0.0 else math.nan
-        if not math.isfinite(s):
-            raise NumericalError(
-                f"saddle solve: Halley's step degenerates at x = {x:g}")
+        s -= r / den if den > 0.0 else r
     raise NumericalError(
         f"saddle solve did not converge in {max_iter} iterations at x = {x:g}")
 

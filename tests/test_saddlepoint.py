@@ -126,8 +126,9 @@ def test_solve_saddle_matches_bisection_oracle(n):
             assert sol.residual <= 1e-12 * min(x, A.total - x)
             assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
             assert sol.iterations <= 8
-        # within about 1e-30 total of an end Halley's denominator cancels:
-        # a correct s0 or NumericalError, and nothing else
+        # at 1e-300 total Halley's denominator cancels to zero and Newton's
+        # steps, which about double s, can run out of iterations: a correct
+        # s0 or NumericalError, and nothing else
         x = 1e-300 * A.total
         try:
             sol = solve_saddle(A, x)
@@ -160,14 +161,46 @@ def test_saddle_density_near_support_end_is_warning_free():
     assert 0.0 < value < 1e-10
 
 
-def test_saddle_density_symmetric_about_center():
-    # above the center K(s0) ~ s0 total, so K(s0) - s0 x taken there cancels
-    # (about 1e-6 relative at 1e-9 total from the upper end)
+@pytest.mark.parametrize("raw, fracs", [
+    # one factor in its tail and one near its center: Halley's denominator
+    # turns negative on the second step
+    ([1e-6, 1.0], (0.25, 0.5, 1.0, 4.0)),
+    ([10.0**k for k in range(4)], (1e-3, 0.25, 1.0, 4.0)),
+])
+def test_solve_saddle_weights_of_different_sizes(raw, fracs):
+    A = make_unit(raw)
+    for frac in fracs:
+        x = frac * A.a[0]
+        sol = solve_saddle(A, x)
+        assert sol.residual <= 1e-12 * x
+        assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
+
+
+def _reference_density(A, x):
+    """Saddle density from the bisection root, free of cancellation.
+
+    With t = -s0 solving K'(t) = total - x, K(s0) - s0 x = K(t) - t (total - x)
+    by K(-t) = K(t) - t total; the direct form cancels above the center.
+    """
+    t = -_bisect_saddle(A, x)
+    kpp = cgf_derivs(A, t)[1]
+    return math.exp(cgf(A, t) - t * (A.total - x)) / math.sqrt(2 * math.pi * kpp)
+
+
+def test_saddle_density_above_center():
     A = _random_A(8, seed=8)
-    for frac in (1e-3, 1e-6, 1e-9, 1e-12):
-        upper = A.total - frac * A.total
-        lower = saddle_density(A, A.total - upper)
-        assert abs(saddle_density(A, upper) - lower) <= 1e-13 * lower
+    for frac in (0.25, 1e-3, 1e-6, 1e-9, 1e-12):
+        x = A.total - frac * A.total
+        value = saddle_density(A, x)
+        assert abs(value - _reference_density(A, x)) <= 1e-12 * value
+    # away from the end the direct form, from the bisection root at x itself,
+    # loses at most about 5e-13 and checks the identity the reference uses
+    for frac in (0.25, 1e-3):
+        x = A.total - frac * A.total
+        s0 = _bisect_saddle(A, x)
+        direct = (math.exp(cgf(A, s0) - s0 * x)
+                  / math.sqrt(2 * math.pi * cgf_derivs(A, s0)[1]))
+        assert abs(saddle_density(A, x) - direct) <= 1e-11 * direct
 
 
 def test_saddle_density_center_identity():
