@@ -5,9 +5,9 @@ equivalently the (n-1)-volume of the central hyperplane slice of the unit
 cube, shifted so the support is [0, sum a_j].  Three independent routes are
 provided:
 
-* truncated_power - the inclusion-exclusion closed form, n <= 24: float
-                    terms summed exactly for n <= 12, and from n = 13 on an
-                    integer sweep that returns correctly rounded values,
+* truncated_power - the inclusion-exclusion closed form, n <= 24, by one
+                    integer sweep per call that returns correctly rounded
+                    values,
 * convolution     - n sliding-window convolutions of uniform cell masses,
 * fourier         - numerical inversion of the product-of-sinc transform.
 """
@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import sici
 
-from ._num import fsum, gl_panels
+from ._num import gl_panels
 from .errors import CapabilityError, DomainError, NumericalError, ValidationError
 from .weights import WeightVector, center
 
 TRUNCATED_POWER_CAP = 24
-_EXACT_FROM = 13  # exact integer sweep from this n on; plain floats below
+_U = 0.5 * np.finfo(np.float64).eps  # unit round-off
 _METHODS = ("auto", "truncated_power", "convolution", "fourier")
 
 
@@ -38,32 +38,6 @@ def _check_points(xs) -> None:
         raise DomainError("evaluation points must be finite")
 
 
-def _float_truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """B(x|a) from the 2^n float subset sums, each term rounded once.
-
-    math.fsum adds the terms exactly, so the error is the rounding of the
-    terms (x - s)^(n-1), which the ~n^n/n! cancellation amplifies: fine for
-    n < _EXACT_FROM, where this is faster than the integer sweep.
-    """
-    n = a.size
-    total = float(np.sum(a))
-    sums = np.zeros(1)
-    signs = np.ones(1, dtype=np.int8)
-    for w in a:
-        sums = np.concatenate([sums, sums + w])
-        signs = np.concatenate([signs, -signs])
-    norm = math.factorial(n - 1) * float(np.prod(a))
-
-    def value(x: float) -> float:
-        if x <= 0.0 or x >= total:
-            return 0.0
-        mask = sums < x
-        acc = fsum(signs[mask] * (x - sums[mask]) ** (n - 1))
-        return max(acc / norm, 0.0)
-
-    return np.array([value(float(x)) for x in xs])
-
-
 def _signed_subset_sums(w: list[int]) -> list[tuple[int, int]]:
     """All (sum of S, (-1)^|S|) over the subsets S of the integers w."""
     out = [(0, 1)]
@@ -72,76 +46,92 @@ def _signed_subset_sums(w: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _exact_truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _truncated_power(a: np.ndarray, xs) -> np.ndarray:
     """B(x|a) at every x of xs, each the correctly rounded value.
 
     Every float is a dyadic rational, so on the common scale D (the largest
     denominator among the weights and the points) the weights W_k and a
     point X are integers, and
         (n-1)! prod(W) B(x) / D = N(X) = sum_S (-1)^|S| (X - s_S)_+^(n-1)
-    is an integer.  The weights are split in halves P and Q (Horowitz-Sahni
-    1974).  For a subset sum s1 of P, the Q subsets with s2 < Y = X - s1
-    contribute sum_j C(n-1, j) (-1)^j M_j Y^(n-1-j), where
-    M_j = sum (-1)^|S2| s2^j runs over those s2.  Taking s1 in descending
-    order makes Y ascend, so the moments M_j grow by a sweep over Q's sorted
-    sums: O(n 2^(n/2)) integer multiply-adds per point, with no rounding
-    until the final division.
+    is an integer.  The weights are split into the first k and the rest
+    (Horowitz-Sahni 1974).  For a subset sum s1 of the first part, the
+    subsets of the rest with s2 < Y = X - s1 contribute
+    sum_j C(n-1, j) (-1)^j M_j Y^(n-1-j), where M_j = sum (-1)^|S2| s2^j
+    runs over those s2.  One query (Y, sign, point) per point and s1 < X,
+    sorted by Y, lets a single walk over the rest's sorted sums grow the
+    moments M_j for every point of the call: about
+    n (2^(n-k) + points 2^k) integer multiply-adds, least near
+    k = (n - log2 points)/2, with no rounding until the final division.
+    A point within a_1 of a support end has only the empty subset below
+    it, so B = y^(n-1)/((n-1)! prod a) there; such points are evaluated on
+    their own scale and keep tiny points from lengthening every integer.
     """
-    n = a.size
-    ratios = [float(w).as_integer_ratio() for w in a]
-    ratios += [x.as_integer_ratio() for x in map(float, xs) if x > 0.0]
-    D = max(den for _, den in ratios)  # a power of two: every den divides it
-    W = [num * (D // den) for num, den in ratios[:n]]
-    total = sum(W)
-    half = n // 2
-    p_desc = sorted(_signed_subset_sums(W[:half]), reverse=True)
-    q_asc = sorted(_signed_subset_sums(W[half:]))
-    coef = [(-1) ** j * math.comb(n - 1, j) for j in range(n)]
-    denom = math.factorial(n - 1) * math.prod(W)
-
-    def count(X: int) -> int:
-        X = min(X, total - X)  # B is symmetric about total/2
-        moments = [0] * n
-        it = iter(q_asc)
-        nxt = next(it, None)
-        N = 0
-        for s1, g1 in p_desc:
-            Y = X - s1
-            if Y <= 0:
-                continue
-            while nxt is not None and nxt[0] < Y:
-                s2, p = nxt
-                for j in range(n):
-                    moments[j] += p
-                    p *= s2
-                nxt = next(it, None)
-            h = 0
-            for c, m in zip(coef, moments):
-                h = h * Y + c * m
-            N += h if g1 > 0 else -h
-        return N
-
-    out = np.zeros(len(xs))
-    for i, x in enumerate(map(float, xs)):
-        if x > 0.0:
-            num, den = x.as_integer_ratio()
-            X = num * (D // den)
-            if X < total:
-                out[i] = count(X) * D / denom
-    return out
-
-
-def _truncated_power(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """B(x|a) at every x of xs: plain floats for small n, exact beyond."""
     n = a.size
     if n > TRUNCATED_POWER_CAP:
         raise CapabilityError(
             f"truncated-power form capped at n = {TRUNCATED_POWER_CAP} "
             "(the exact sweep grows like 2^(n/2)); use eval_convolution"
         )
-    if n < _EXACT_FROM:
-        return _float_truncated_power(a, xs)
-    return _exact_truncated_power(a, xs)
+    ratios = [float(w).as_integer_ratio() for w in a]
+    Dw = max(den for _, den in ratios)  # a power of two: every den divides it
+    W = [num * (Dw // den) for num, den in ratios]
+    total, least = sum(W), min(W)
+    denom = math.factorial(n - 1) * math.prod(W)
+    out = np.zeros(len(xs))
+    inner = []  # (index, num, den) of the points that need the sweep
+    for i, x in enumerate(map(float, xs)):
+        if x <= 0.0:
+            continue
+        num, den = x.as_integer_ratio()
+        D = den if den > Dw else Dw
+        s = D // Dw
+        X = num * (D // den)
+        Y = min(X, total * s - X)  # B is symmetric about total/2
+        if Y <= 0:
+            continue
+        if Y <= least * s:
+            out[i] = Y ** (n - 1) * D / (denom * s**n)
+        else:
+            inner.append((i, num, den))
+    if not inner:
+        return out
+
+    D = max(Dw, max(den for _, _, den in inner))
+    s = D // Dw
+    W = [w * s for w in W]
+    total *= s
+    denom *= s**n
+    k = min(max(round((n - math.log2(len(inner))) / 2), 0), n // 2)
+    p_sums = _signed_subset_sums(W[:k])
+    q_asc = sorted(_signed_subset_sums(W[k:]))
+    queries = []
+    for i, num, den in inner:
+        X = num * (D // den)
+        X = min(X, total - X)
+        queries += [(X - s1, g1, i) for s1, g1 in p_sums if s1 < X]
+    queries.sort()
+    coef = [(-1) ** j * math.comb(n - 1, j) for j in range(n)]
+    moments = [0] * n
+    terms = []  # C(n-1, j) (-1)^j M_j, refreshed when a moment moves
+    N = [0] * len(xs)
+    it = iter(q_asc)
+    nxt = next(it, None)
+    for Y, g1, i in queries:
+        if nxt is not None and nxt[0] < Y:
+            while nxt is not None and nxt[0] < Y:
+                s2, p = nxt
+                for j in range(n):
+                    moments[j] += p
+                    p *= s2
+                nxt = next(it, None)
+            terms = [c * m for c, m in zip(coef, moments)]
+        h = 0
+        for t in terms:
+            h = h * Y + t
+        N[i] += h if g1 > 0 else -h
+    for i, _, _ in inner:
+        out[i] = N[i] * D / denom
+    return out
 
 
 def truncated_power_raw(weights, x: float) -> float:
@@ -265,6 +255,11 @@ def _auto_conv_step(A: WeightVector, fine: float = 1e-3) -> float:
 # Fourier inversion
 
 
+def _gamma(k: int) -> float:
+    """Round-off bound k u / (1 - k u) of k chained float operations."""
+    return k * _U / (1.0 - k * _U)
+
+
 @dataclass
 class FourierResult:
     values: np.ndarray
@@ -274,20 +269,28 @@ class FourierResult:
 
 
 def _tail_exponentials(order: int, mu: np.ndarray, T: float):
-    """G_k(mu, T) = int_T^inf exp(i mu z) z^-k dz by integration-by-parts.
+    """G_k(mu, T) = int_T^inf exp(i mu z) z^-k dz by integration-by-parts,
+    with a bound E on the round-off in G.
 
     G_1 uses Si/Ci; near-zero frequencies are dropped (their contributions
-    cancel pairwise in the surrounding sine-product expansion).
+    cancel pairwise in the surrounding sine-product expansion).  Si and Ci
+    come within a few ulps of their size, and the phase exp(i m T) within
+    u (1 + m T).  Since |G_k| <= T^(1-k)/(k-1) and m |G_(k-1)| <= 2 T^(1-k),
+    step k adds at most T^(1-k)/(k-1) (2u (1 + m T) + 14u) to the error it
+    inherits times m/(k-1).
     """
     m = np.abs(mu)
     tiny = m * T < 1e-12
     si, ci = sici(np.where(tiny, 1.0, m * T))
     G = np.where(tiny, 0.0, -ci) + 1j * np.where(tiny, 0.0, 0.5 * np.pi - si)
+    E = np.where(tiny, 0.0, 4.0 * _U * (np.abs(ci) + np.abs(si) + 0.5 * np.pi))
     phase = np.exp(1j * m * T)
     for k in range(2, order + 1):
-        G = phase * T ** (1 - k) / (k - 1) + (1j * m / (k - 1)) * G
+        step = T ** (1 - k) / (k - 1)
+        G = phase * step + (1j * m / (k - 1)) * G
+        E = (m / (k - 1)) * E + step * (2.0 * _U * (1.0 + m * T) + 14.0 * _U)
     G = np.where(mu < 0, np.conj(G), G)
-    return G, bool(np.any(tiny))
+    return G, E, bool(np.any(tiny))
 
 
 def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
@@ -298,6 +301,7 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
     fastest oscillation; the tail is evaluated exactly for n <= 11 via the
     sine-product expansion and Si/Ci, and bounded analytically for larger n
     (where the integrand decays like z^-n and a short range suffices).
+    The stated errors also bound the round-off of both parts.
     """
     if quad_tol <= 0:
         raise ValidationError("quad_tol must be positive")
@@ -325,14 +329,21 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
     panels = int(np.ceil(T * 2.0 * wmax / np.pi))
     edges = np.linspace(0.0, T, panels + 1)
 
-    def bulk(order: int) -> np.ndarray:
+    def bulk(order: int) -> tuple[np.ndarray, float]:
+        """The [0, T] integral at each point, and a bound on its round-off."""
         z, w = gl_panels(edges, order)
-        g = np.prod(np.sinc(np.outer(z, a) / (2.0 * np.pi)), axis=1)
-        return np.cos(np.outer(theta, z)) @ (w * g)
+        wg = w * np.prod(np.sinc(np.outer(z, a) / (2.0 * np.pi)), axis=1)
+        # a dot product of z.size terms, each a product of n + 3 rounded
+        # factors, plus the final division by pi; cos(theta z) also feels
+        # the rounding of its argument theta z
+        size = np.abs(wg)
+        err = (_gamma(z.size + n + 5) * float(np.sum(size))
+               + _U * float(np.max(np.abs(theta))) * float(z @ size))
+        return np.cos(np.outer(theta, z)) @ wg, err
 
-    b_hi = bulk(12)
-    b_lo = bulk(8)
-    quad_err = float(np.max(np.abs(b_hi - b_lo))) / np.pi + 1e-16
+    b_hi, round_err = bulk(12)
+    b_lo, _ = bulk(8)
+    quad_err = (float(np.max(np.abs(b_hi - b_lo))) + round_err) / np.pi
 
     warning = False
     if use_si_tail:
@@ -343,14 +354,22 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
             mus = np.concatenate([mus + bj, mus - bj])
             coef = np.concatenate([coef, -coef])
         pref = 0.5 * (-1j) ** n / float(np.prod(a))
-        g_plus, tiny_p = _tail_exponentials(n, mus[:, None] + theta[None, :], T)
-        g_minus, tiny_m = _tail_exponentials(n, mus[:, None] - theta[None, :], T)
-        tail = np.real(pref * np.sum(coef[:, None] * (g_plus + g_minus), axis=0))
-        if n == 1 and (tiny_p or tiny_m):
-            warning = True  # x sits on a jump of the indicator density
+        tail = np.empty(theta.size)
+        # blocks of about 2^17 (mu, theta) pairs keep the arrays bounded
+        block = max(1, 2**17 >> n)
+        for lo in range(0, theta.size, block):
+            th = theta[lo:lo + block]
+            g_plus, e_plus, tiny_p = _tail_exponentials(n, mus[:, None] + th, T)
+            g_minus, e_minus, tiny_m = _tail_exponentials(n, mus[:, None] - th, T)
+            tail[lo:lo + block] = np.real(pref * (coef @ (g_plus + g_minus)))
+            if n == 1 and (tiny_p or tiny_m):
+                warning = True  # x sits on a jump of the indicator density
+            # the G's own round-off, then a sum of 2^(n+1) terms scaled by pref
+            err = (np.sum(e_plus + e_minus, axis=0)
+                   + _gamma(2 ** (n + 1) + n + 2)
+                   * np.sum(np.abs(g_plus) + np.abs(g_minus), axis=0))
+            tail_err = max(tail_err, abs(pref) * float(np.max(err)) / np.pi)
         values = (b_hi + tail) / np.pi
-        tail_err = float(np.max(np.sum(np.abs(g_plus) + np.abs(g_minus), axis=0))
-                         * abs(pref) * 2e-16)
     else:
         values = b_hi / np.pi
 
@@ -384,9 +403,8 @@ def density_profile(A: WeightVector, grid, method: str = "auto",
     _check_points(grid)
     if m == "truncated_power":
         vals = _truncated_power(A.a, grid)
-        # the exact sweep rounds once; the float path keeps a fixed budget
-        tol = (float(np.max(np.spacing(vals), initial=0.0)) / 2.0
-               if A.n >= _EXACT_FROM else 1e-9)
+        # each value is rounded once from the exact one
+        tol = float(np.max(np.spacing(vals), initial=0.0)) / 2.0
     elif m == "convolution":
         prof = eval_convolution(A, grid_step or _auto_conv_step(A, 2.5e-4))
         vals = prof.value_at(grid)
@@ -409,13 +427,15 @@ def max_value(A: WeightVector, method: str = "auto") -> float:
     """Maximum of B(.|A), attained at the symmetry center.
 
     A local-maximality probe at center +/- a_1/4 guards against evaluator
-    bugs (B is log-concave, so the center is the true maximum).
+    bugs (B is log-concave, so the center is the true maximum).  Truncated
+    power rounds each exact value once, which keeps their order, so it is
+    held to that order with no slack.
     """
     c = center(A)
     probe = A.a[0] / 4.0
     prof = density_profile(A, [c - probe, c, c + probe], method)
     lo, v, hi = (float(t) for t in prof.values)
-    slack = 1e-7 if prof.method != "truncated_power" else 1e-9
+    slack = 0.0 if prof.method == "truncated_power" else 1e-7
     if v + slack < lo or v + slack < hi:
         raise NumericalError(
             f"center value {v:.12g} below probe values ({lo:.12g}, {hi:.12g})")

@@ -90,7 +90,7 @@ def _subset_oracle(a, x):
     return acc / (math.factorial(len(a) - 1) * math.prod(a))
 
 
-@pytest.mark.parametrize("n", range(13, TRUNCATED_POWER_CAP + 1))
+@pytest.mark.parametrize("n", range(1, TRUNCATED_POWER_CAP + 1))
 def test_exact_path_bit_equal_to_equal_weight_oracle(n):
     A = generate(FamilySpec("equal", n))
     w = float(A.a[0])
@@ -108,6 +108,36 @@ def test_exact_path_bit_equal_to_subset_oracle(seed):
     A = _random_A(13, seed=seed)
     for x in [center(A), 0.3 * A.total]:
         assert eval_truncated_power(A, x) == float(_subset_oracle(A.a, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_bit_equal_to_subset_oracle_at_every_call_size(n):
+    # the sweep splits the weights by the number of points in the call:
+    # in halves for one point, none (n <= 8) or two (n = 12) split off for
+    # a 401-point grid
+    A = _random_A(n, seed=60 + n)
+    c = center(A)
+    calls = [[c], [c - A.a[0] / 4.0, c, 0.3 * A.total],
+             np.linspace(0.0, A.total, 403)[1:-1]]
+    for xs in calls:
+        values = density_profile(A, xs, "truncated_power").values
+        # the oracle takes about 50 ms a point at n = 12
+        step = 20 if n == 12 and len(xs) > 3 else 1
+        for x, v in zip(xs[::step], values[::step]):
+            assert v == float(_subset_oracle(A.a, x))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_tiny_points_evaluated_exactly(n):
+    # y = min(x, total - x) <= a_1 leaves only the empty subset below y
+    A = _random_A(n, seed=5)
+    xs = [1e-300, 1e-30, float(A.a[0]), A.total - 1e-3 * float(A.a[0])]
+    values = density_profile(A, xs + [center(A)], "truncated_power").values
+    for x, v in zip(xs, values):
+        assert v == float(_subset_oracle(A.a, x))
+    assert values[0] > 0.0 if n == 2 else values[0] == 0.0
+    # the tiny points leave the other points' values alone
+    assert values[-1] == eval_truncated_power(A, center(A))
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +193,18 @@ def test_oracle_agreement_three_methods():
 
 
 def test_fourier_certified_error():
-    A = _random_A(6, seed=8)
-    xs = [center(A), 0.3 * A.total]
-    res = fourier_values(A, xs)
-    exact = [eval_truncated_power(A, x) for x in xs]
-    budget = max(res.quad_error + res.tail_error, 1e-9)
-    assert np.max(np.abs(np.asarray(res.values) - exact)) <= budget
+    # on whole grids the stated quad + tail error covers the distance to the
+    # correctly rounded values, and is within 1e4 of it (not vacuous)
+    for n in range(1, 12):
+        for A in (_random_A(n, seed=8), generate(FamilySpec("equal", n)),
+                  _random_A(n, seed=9, c0=40.0)):
+            xs = np.linspace(0.0, A.total, 203)[1:-1]
+            res = fourier_values(A, xs)
+            exact = density_profile(A, xs, "truncated_power").values
+            actual = float(np.max(np.abs(res.values - exact)))
+            stated = res.quad_error + res.tail_error
+            assert actual <= stated
+            assert stated <= 1e4 * actual
 
 
 def test_fourier_n1_jump_flagged():
