@@ -339,7 +339,12 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
         size = np.abs(wg)
         err = (_gamma(z.size + n + 5) * float(np.sum(size))
                + _U * float(np.max(np.abs(theta))) * float(z @ size))
-        return np.cos(np.outer(theta, z)) @ wg, err
+        # blocks of about 2^20 (theta, z) pairs keep the cos matrix bounded
+        out = np.empty(theta.size)
+        block = max(1, 2**20 // z.size)
+        for lo in range(0, theta.size, block):
+            out[lo:lo + block] = np.cos(np.outer(theta[lo:lo + block], z)) @ wg
+        return out, err
 
     b_hi, round_err = bulk(12)
     b_lo, _ = bulk(8)
@@ -354,20 +359,24 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
             mus = np.concatenate([mus + bj, mus - bj])
             coef = np.concatenate([coef, -coef])
         pref = 0.5 * (-1j) ** n / float(np.prod(a))
+        sign = (-1) ** n
         tail = np.empty(theta.size)
         # blocks of about 2^17 (mu, theta) pairs keep the arrays bounded
         block = max(1, 2**17 >> n)
         for lo in range(0, theta.size, block):
             th = theta[lo:lo + block]
-            g_plus, e_plus, tiny_p = _tail_exponentials(n, mus[:, None] + th, T)
-            g_minus, e_minus, tiny_m = _tail_exponentials(n, mus[:, None] - th, T)
-            tail[lo:lo + block] = np.real(pref * (coef @ (g_plus + g_minus)))
-            if n == 1 and (tiny_p or tiny_m):
+            # the mus are symmetric in floats, mu -> -mu flips all n signs
+            # (coef -> (-1)^n coef) and G(-m) = conj G(m), so the G(mu - theta)
+            # half of the sum is (-1)^n conj of the G(mu + theta) half
+            g, e, tiny = _tail_exponentials(n, mus[:, None] + th, T)
+            half = coef @ g
+            tail[lo:lo + block] = np.real(pref * (half + sign * np.conj(half)))
+            if n == 1 and tiny:
                 warning = True  # x sits on a jump of the indicator density
-            # the G's own round-off, then a sum of 2^(n+1) terms scaled by pref
-            err = (np.sum(e_plus + e_minus, axis=0)
-                   + _gamma(2 ** (n + 1) + n + 2)
-                   * np.sum(np.abs(g_plus) + np.abs(g_minus), axis=0))
+            # the G's own round-off, then a sum of 2^(n+1) terms scaled by
+            # pref; the mirrored half has the same E's and |G|'s
+            err = 2.0 * (np.sum(e, axis=0) + _gamma(2 ** (n + 1) + n + 2)
+                         * np.sum(np.abs(g), axis=0))
             tail_err = max(tail_err, abs(pref) * float(np.max(err)) / np.pi)
         values = (b_hi + tail) / np.pi
     else:

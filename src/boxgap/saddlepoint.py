@@ -9,6 +9,7 @@ to sqrt(6/pi) exp(-6 (x - sum(a)/2)^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,64 +21,63 @@ from .weights import FamilySpec, WeightVector, center, generate
 
 _SMALL = 5e-2     # |u| below which g(u) = ln((e^u - 1)/u) uses its series
 _LARGE = 600.0    # |u| above which g(u) uses its asymptote (e^-|u| < 1e-260)
-_POWERS = np.arange(4.0)[:, None]
 
 GAUSS_PEAK = math.sqrt(6.0 / math.pi)
 
 
-def _factor_terms(u: np.ndarray) -> np.ndarray:
-    """Rows g, g', g'', g''' of g(u) = ln((e^u - 1)/u), one column per u.
+def _factor_terms(u: float) -> tuple[float, float, float, float]:
+    """(g, g', g'', g''') of g(u) = ln((e^u - 1)/u) at one float u.
 
-    The closed forms run on the whole array in one pass.  Entries with |u|
-    outside [_SMALL, _LARGE], if any, are set to 1 there and patched: by
-    the Taylor series below (its u^6 term keeps g within 3e-16 at the cut)
-    and by the asymptotes max(u, 0) - ln|u|, [u > 0] - 1/u, 1/u^2, -2/u^3
-    above.
+    Closed forms for |u| in [_SMALL, _LARGE]; below, the Taylor series (its
+    u^6 term keeps g within 3e-16 at the cut); above, the asymptotes
+    max(u, 0) - ln|u|, [u > 0] - 1/u, 1/u^2, -2/u^3.
     """
-    au = np.abs(u)
-    edge = not (_SMALL <= np.minimum.reduce(au)
-                and np.maximum.reduce(au) <= _LARGE)
-    if edge:
-        small = au < _SMALL
-        big = au > _LARGE
-        w = np.where(small | big, 1.0, u)
-    else:
-        w = u
-    e = np.expm1(w)
+    au = abs(u)
+    if au < _SMALL:
+        u2 = u * u
+        return (u * (0.5 + u * (1 / 24 + u2 * (-1 / 2880 + u2 / 181440))),
+                0.5 + u * (1 / 12 + u2 * (-1 / 720 + u2 / 30240)),
+                1 / 12 + u2 * (-1 / 240 + u2 / 6048),
+                u * (-1 / 120 + u2 / 1512))
+    if au > _LARGE:
+        r = 1.0 / u
+        if u > 0.0:
+            return u - math.log(u), 1.0 - r, r * r, -2.0 * r * r * r
+        return -math.log(au), -r, r * r, -2.0 * r * r * r
+    e = math.expm1(u)
     qe = 1.0 / e
-    qm = 1.0 / np.expm1(-w)
-    r = 1.0 / w
-    c = qe * qm                       # -1/(4 sinh^2(w/2))
-    g = np.array([np.log(e * r), -qm - r, r * r + c,
-                  -(1.0 + 2.0 * qe) * c - 2.0 * r**3])
-    if edge:
-        us = u[small]
-        u2 = us * us
-        g[:, small] = [us * (0.5 + us * (1 / 24 + u2 * (-1 / 2880 + u2 / 181440))),
-                       0.5 + us * (1 / 12 + u2 * (-1 / 720 + u2 / 30240)),
-                       1 / 12 + u2 * (-1 / 240 + u2 / 6048),
-                       us * (-1 / 120 + u2 / 1512)]
-        ub = u[big]
-        rb = 1.0 / ub
-        pos = ub > 0.0
-        g[:, big] = [np.where(pos, ub, 0.0) - np.log(np.abs(ub)), pos - rb,
-                     rb * rb, -2.0 * rb * rb * rb]
-    return g
+    qm = 1.0 / math.expm1(-u)
+    r = 1.0 / u
+    c = qe * qm                       # -1/(4 sinh^2(u/2))
+    return (math.log(e * r), -qm - r, r * r + c,
+            -(1.0 + 2.0 * qe) * c - 2.0 * r * r * r)
 
 
-def _cumulants(P: np.ndarray, s: float) -> list[float]:
-    """[K, K', K'', K'''] at s; row j of P = a ** _POWERS weighs g^(j)(a s)."""
-    return (P * _factor_terms(P[1] * s)).sum(axis=1).tolist()
+def _cumulants(a: list[float], s: float) -> tuple[float, float, float, float]:
+    """(K, K', K'', K''') at s, summed left to right over the weights a.
+
+    At s = 0 every g'(a s) is 1/2, so K'(0) is half of the left-to-right sum
+    that WeightVector.total forms, bit for bit.
+    """
+    k0 = k1 = k2 = k3 = 0.0
+    for ak in a:
+        g0, g1, g2, g3 = _factor_terms(ak * s)
+        k0 += g0
+        k1 += ak * g1
+        a2 = ak * ak
+        k2 += a2 * g2
+        k3 += a2 * ak * g3
+    return k0, k1, k2, k3
 
 
 def cgf(A: WeightVector, s: float) -> float:
     """K(s); K(0) = 0 by the removable-singularity convention."""
-    return _cumulants(A.a ** _POWERS, float(s))[0]
+    return _cumulants(A.a.tolist(), float(s))[0]
 
 
 def cgf_derivs(A: WeightVector, s: float):
     """(K'(s), K''(s), K'''(s)); at s = 0: (sum(a)/2, 1/12, 0) for unit A."""
-    return tuple(_cumulants(A.a ** _POWERS, float(s))[1:])
+    return _cumulants(A.a.tolist(), float(s))[1:]
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ class SaddleSolution:
 
 
 def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSolution:
-    """Solve K'(s0) = x by Halley's method from the Gaussian start 12 (x - c).
+    """Solve K'(s0) = x by Halley's method from the Gaussian start 12 (x - c)
+    or, far in a tail, from s = -n/x.
 
     With f = K' - x and r = f/K'', Halley's step s -= r / (1 - r K'''/(2 K''))
     is Newton's step on f/sqrt(f').  That function is close to linear in s
@@ -104,11 +105,16 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
     Where weights of very different sizes put some factors in their tails
     and others near their centers, f/sqrt(f') is not monotone and Halley's
     denominator can turn negative (for A ~ (1e-6, 1) at x = a_1/4 it does
-    on the second step); in a far tail it also cancels, as 1 - (1 + x s/n),
-    to zero.  There Newton's step is taken instead.  A denominator <= 0
-    needs r K''' > 0, and K''' > 0 for s < 0, so such an s < 0 lies above
-    s0, where K' is convex and Newton's step moves toward s0 without
-    passing it.
+    on the second step).  There Newton's step is taken instead.  A
+    denominator <= 0 needs r K''' > 0, and K''' > 0 for s < 0, so such an
+    s < 0 lies above s0, where K' is convex and Newton's step moves toward
+    s0 without passing it.
+
+    Far in a tail the denominator cancels, as 1 - (1 + x s/n), to zero, and
+    Newton's steps from the Gaussian start only double s.  So where
+    x < n a_1/40 the solve starts at s = -n/x instead: there every
+    |a_k s| >= 40, and K'(-n/x) = x (1 + O(e^-40)) is already converged.
+    Each step is one scalar pass over the weights.
 
     x > total/2 is solved at total - x and mapped back with
     K(-s) = K(s) - s total, K'(-s) = total - K'(s) and K'' even, so the
@@ -123,11 +129,12 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
         raise DomainError(f"no saddle point: x must lie in (0, {total:g})")
     mirror = x > 0.5 * total
     y = total - x if mirror else x
-    P = A.a ** _POWERS
+    a = A.a.tolist()
+    n = len(a)
     tol = 1e-12 * y
-    s = 12.0 * (y - 0.5 * total)
+    s = -n / y if y < n * a[0] / 40.0 else 12.0 * (y - 0.5 * total)
     for it in range(1, max_iter + 1):
-        k, kp, kpp, kppp = _cumulants(P, s)
+        k, kp, kpp, kppp = _cumulants(a, s)
         f = kp - y
         if abs(f) <= tol:
             if mirror:
@@ -148,8 +155,13 @@ def saddle_density(A: WeightVector, x: float) -> float:
 
     It is symmetric about the center, and is evaluated at the lower of x and
     total - x: above the center K(s0) ~ s0 total, so K(s0) - s0 x would cancel.
+    NumericalError is raised where K''(s0) is subnormal, from about
+    min(x, total - x) = 1.5e-154 sqrt(n) on.
     """
     sol = solve_saddle(A, min(x, A.total - x))
+    if not sol.Kpp >= sys.float_info.min:
+        # far in a tail K'' ~ y^2/n with y = min(x, total - x)
+        raise NumericalError(f"saddle density: K'' underflows at x = {x:g}")
     return math.exp(sol.K - sol.s0 * sol.x) / math.sqrt(2.0 * math.pi * sol.Kpp)
 
 

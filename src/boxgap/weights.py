@@ -28,6 +28,12 @@ class WeightVector:
         a = np.asarray(self.a, dtype=np.float64)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        # left to right, the order in which the saddle solve sums K'(0):
+        # np.sum is pairwise and the builtin sum is compensated from 3.12
+        total = 0.0
+        for v in a.tolist():
+            total += v
+        object.__setattr__(self, "_total", total)
 
     @property
     def n(self) -> int:
@@ -36,7 +42,7 @@ class WeightVector:
     @property
     def total(self) -> float:
         """Sum of weights; the support of B(.|A) is [0, total]."""
-        return float(np.sum(self.a))
+        return self._total
 
     def to_json(self) -> list[float]:
         return [float(v) for v in self.a]
@@ -95,7 +101,7 @@ def make_unit(raw: Sequence[float]) -> WeightVector:
 
 def center(A: WeightVector) -> float:
     """Symmetry center of B(.|A): (a_1 + ... + a_n)/2 = K'(0)."""
-    return 0.5 * float(np.sum(A.a))
+    return 0.5 * A.total
 
 
 def ratio(A: WeightVector) -> float:

@@ -117,7 +117,10 @@ def _bisect_saddle(A, x):
 @pytest.mark.parametrize("n", [1, 2, 8, 26, 200])
 def test_solve_saddle_matches_bisection_oracle(n):
     A = _random_A(n, seed=n) if n > 1 else make_unit([1.0])
-    fracs = [1e-15, 1e-12, 1e-9, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-12]
+    # from 1e-50 total on, Halley's denominator would cancel to zero on the
+    # way from the Gaussian start; the far-tail start -n/x must reach s0
+    fracs = [1e-300, 1e-100, 1e-50, 1e-15, 1e-12, 1e-9, 1e-3, 0.5,
+             1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 1e-12]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for frac in fracs:
@@ -126,15 +129,6 @@ def test_solve_saddle_matches_bisection_oracle(n):
             assert sol.residual <= 1e-12 * min(x, A.total - x)
             assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
             assert sol.iterations <= 8
-        # at 1e-300 total Halley's denominator cancels to zero and Newton's
-        # steps, which about double s, can run out of iterations: a correct
-        # s0 or NumericalError, and nothing else
-        x = 1e-300 * A.total
-        try:
-            sol = solve_saddle(A, x)
-        except NumericalError:
-            return
-        assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -145,10 +139,77 @@ def test_solve_saddle_matches_bisection_oracle(n):
     (600.0, (1e-14, 1e-14, 1e-14, 1e-14)),
 ])
 def test_factor_terms_continuous_at_cutovers(cut, bounds, sign):
-    inside = _factor_terms(np.array([sign * np.nextafter(cut, 0.0)]))[:, 0]
-    outside = _factor_terms(np.array([sign * np.nextafter(cut, np.inf)]))[:, 0]
+    inside = _factor_terms(sign * float(np.nextafter(cut, 0.0)))
+    outside = _factor_terms(sign * float(np.nextafter(cut, np.inf)))
     for j, bound in enumerate(bounds):
         assert abs(inside[j] - outside[j]) <= bound * abs(outside[j]), j
+
+
+_SMALL, _LARGE = 5e-2, 600.0
+# the cut-over test's bounds on g, g', g'', g''': the closed forms of g'' and
+# g''' cancel near |u| = 5e-2
+_ORACLE_BOUNDS = (1e-14, 1e-14, 1e-11, 3e-7)
+
+
+def _factor_terms_vectorised(u):
+    """Test-only oracle: rows g, g', g'', g''' of g(u) = ln((e^u - 1)/u).
+
+    The numpy array form of the scalar _factor_terms: closed forms on the
+    whole array, patched by the Taylor series below _SMALL and by the
+    asymptotes above _LARGE.
+    """
+    au = np.abs(u)
+    small = au < _SMALL
+    big = au > _LARGE
+    w = np.where(small | big, 1.0, u)
+    e = np.expm1(w)
+    qe = 1.0 / e
+    qm = 1.0 / np.expm1(-w)
+    r = 1.0 / w
+    c = qe * qm
+    g = np.array([np.log(e * r), -qm - r, r * r + c,
+                  -(1.0 + 2.0 * qe) * c - 2.0 * r**3])
+    us = u[small]
+    u2 = us * us
+    g[:, small] = [us * (0.5 + us * (1 / 24 + u2 * (-1 / 2880 + u2 / 181440))),
+                   0.5 + us * (1 / 12 + u2 * (-1 / 720 + u2 / 30240)),
+                   1 / 12 + u2 * (-1 / 240 + u2 / 6048),
+                   us * (-1 / 120 + u2 / 1512)]
+    ub = u[big]
+    rb = 1.0 / ub
+    pos = ub > 0.0
+    g[:, big] = [np.where(pos, ub, 0.0) - np.log(np.abs(ub)), pos - rb,
+                 rb * rb, -2.0 * rb * rb * rb]
+    return g
+
+
+def test_factor_terms_match_vectorised_oracle():
+    # both cut-overs, both signs, and u = 0
+    mags = np.concatenate([np.geomspace(1e-8, 1e4, 400),
+                           np.linspace(0.04, 0.06, 101),
+                           np.linspace(590.0, 610.0, 101),
+                           [0.0, np.nextafter(_SMALL, 0.0), _SMALL,
+                            _LARGE, np.nextafter(_LARGE, np.inf)]])
+    u = np.concatenate([mags, -mags])
+    want = _factor_terms_vectorised(u)
+    got = np.array([_factor_terms(float(v)) for v in u]).T
+    for j, bound in enumerate(_ORACLE_BOUNDS):
+        assert np.all(np.abs(got[j] - want[j]) <= bound * np.abs(want[j])), j
+
+
+@pytest.mark.parametrize("n", [1, 8, 26, 200])
+def test_cumulants_match_vectorised_oracle(n):
+    A = _random_A(n, seed=100 + n)
+    P = A.a ** np.arange(4.0)[:, None]
+    mags = np.geomspace(1e-6, 1e4, 41)
+    for s in np.concatenate([mags, -mags]):
+        terms = P * _factor_terms_vectorised(P[1] * s)
+        scale = np.abs(terms).sum(axis=1)
+        want = terms.sum(axis=1)
+        got = (cgf(A, s),) + tuple(cgf_derivs(A, s))
+        for j, bound in enumerate(_ORACLE_BOUNDS):
+            # relative to the sum of |terms|: K''' sums terms of both signs
+            assert abs(got[j] - want[j]) <= bound * scale[j], (s, j)
 
 
 def test_saddle_density_near_support_end_is_warning_free():
@@ -174,6 +235,16 @@ def test_solve_saddle_weights_of_different_sizes(raw, fracs):
         sol = solve_saddle(A, x)
         assert sol.residual <= 1e-12 * x
         assert abs(sol.s0 - _bisect_saddle(A, x)) <= 1e-9 * abs(sol.s0)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_saddle_density_far_tail(n):
+    A = _random_A(n, seed=n)
+    # K'' ~ y^2/n is still normal at 1e-100 total: the density is finite
+    assert 0.0 <= saddle_density(A, 1e-100 * A.total) < np.inf
+    # at 1e-200 total K'' is 0 in floats; NumericalError, not a division by 0
+    with pytest.raises(NumericalError):
+        saddle_density(A, 1e-200 * A.total)
 
 
 def _reference_density(A, x):
