@@ -15,12 +15,11 @@ import numpy as np
 from boxgap import (
     FamilySpec,
     convergence_report,
-    eval_truncated_power,
     generate,
     max_value,
     saddle_density,
-    saddle_third_derivative_check,
     solve_saddle,
+    truncated_power_raw,
 )
 from boxgap.weights import center
 
@@ -49,10 +48,6 @@ print(f"               FD slope of s0 at c    = {slope:.6f}")
 print("\nsaddle vs exact relative error at the center ~ 3/(20 n):")
 for n in (6, 12, 24):
     A = generate(FamilySpec("equal", n))
-    exact = eval_truncated_power(A, center(A))
+    exact = truncated_power_raw(A.a, center(A))
     rel = abs(saddle_density(A, center(A)) - exact) / exact
     print(f"  n = {n:3d}: rel err = {rel:.5f}  (3/(20n) = {3 / (20 * n):.5f})")
-
-chk = saddle_third_derivative_check(generate(FamilySpec("equal", 8)))
-print(f"\nthird-derivative diagnostic: FD {chk.fd_value:.4f} vs closed form "
-      f"{chk.formula_value:.4f} (flagged: {chk.flagged})")

@@ -37,7 +37,7 @@ for n in (3, 5, 8):
 
 print("\nlocal descent from a random start (n = 5):")
 start = generate(FamilySpec("random", 5, c0=4.0, seed=99))
-report, exhausted = minimize_gap(5, 4.0, start, budget=1500)
+report, exhausted = minimize_gap(4.0, start, budget=1500)
 print(f"  start gap = {gap(start).gap:+.6f} -> minimized gap = "
       f"{report.gap:+.6f} (budget exhausted: {exhausted})")
 

@@ -13,8 +13,6 @@ from .boxspline import (
     FourierResult,
     density_profile,
     eval_convolution,
-    eval_fourier,
-    eval_truncated_power,
     fourier_values,
     max_value,
     phi,
@@ -39,13 +37,13 @@ from .gap import (
     minimize_gap,
     scan_random,
     threshold_probe,
-    verify,
 )
 from .rademacher import (
     ENUM_CAP,
     KhinchineBound,
     RademacherSummary,
     exact_expectation,
+    expectation,
     f_function,
     khinchine_bounds,
     mc_expectation,
@@ -54,13 +52,11 @@ from .saddlepoint import (
     GAUSS_PEAK,
     ConvergenceReport,
     SaddleSolution,
-    ThirdDerivativeCheck,
     cgf,
     cgf_derivs,
     convergence_report,
     gaussian_limit,
     saddle_density,
-    saddle_third_derivative_check,
     solve_saddle,
 )
 from .weights import FamilySpec, WeightVector, center, generate, make_unit, ratio
@@ -72,16 +68,14 @@ __all__ = [
     "NumericalError",
     "WeightVector", "FamilySpec", "make_unit", "generate", "center", "ratio",
     "TRUNCATED_POWER_CAP", "DensityProfile", "FourierResult",
-    "truncated_power_raw", "eval_truncated_power", "eval_convolution",
-    "eval_fourier", "fourier_values", "density_profile", "phi", "max_value",
-    "section_volume_mc",
+    "truncated_power_raw", "eval_convolution", "fourier_values",
+    "density_profile", "phi", "max_value", "section_volume_mc",
     "GAUSS_PEAK", "cgf", "cgf_derivs", "SaddleSolution", "solve_saddle",
     "saddle_density", "gaussian_limit", "ConvergenceReport",
-    "convergence_report", "ThirdDerivativeCheck",
-    "saddle_third_derivative_check",
-    "ENUM_CAP", "RademacherSummary", "KhinchineBound", "exact_expectation",
-    "mc_expectation", "f_function", "khinchine_bounds",
+    "convergence_report",
+    "ENUM_CAP", "RademacherSummary", "KhinchineBound", "expectation",
+    "exact_expectation", "mc_expectation", "f_function", "khinchine_bounds",
     "GapReport", "ScanSummary", "ThresholdRow", "ThresholdReport",
-    "epsilon0_cap", "gap", "verify", "confirm_counterexample", "scan_random",
+    "epsilon0_cap", "gap", "confirm_counterexample", "scan_random",
     "minimize_gap", "threshold_probe",
 ]

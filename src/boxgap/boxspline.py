@@ -27,6 +27,7 @@ from .weights import WeightVector, center
 TRUNCATED_POWER_CAP = 24
 _U = 0.5 * np.finfo(np.float64).eps  # unit round-off
 _METHODS = ("auto", "truncated_power", "convolution", "fourier")
+_TAIL_TOL = 1e-7  # Fourier tail bound for n > 11 that sets the cutoff T
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +145,6 @@ def truncated_power_raw(weights, x: float) -> float:
     return float(_truncated_power(a, xs)[0])
 
 
-def eval_truncated_power(A: WeightVector, x: float) -> float:
-    """B(x|A) by the inclusion-exclusion truncated-power formula."""
-    return truncated_power_raw(A.a, x)
-
-
 # ---------------------------------------------------------------------------
 # density profiles
 
@@ -247,10 +243,6 @@ def eval_convolution(A: WeightVector, grid_step: float) -> DensityProfile:
                           tolerance=None)
 
 
-def _auto_conv_step(A: WeightVector, fine: float = 1e-3) -> float:
-    return min(A.a[0] / 8.0, fine)
-
-
 # ---------------------------------------------------------------------------
 # Fourier inversion
 
@@ -293,8 +285,7 @@ def _tail_exponentials(order: int, mu: np.ndarray, T: float):
     return G, E, bool(np.any(tiny))
 
 
-def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
-                   quad_tol: float = 1e-7) -> FourierResult:
+def fourier_values(A: WeightVector, xs) -> FourierResult:
     """Fourier inversion of the sinc-product transform on a batch of points.
 
     [0, T] is integrated by composite Gauss-Legendre panels sized to the
@@ -303,26 +294,20 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
     (where the integrand decays like z^-n and a short range suffices).
     The stated errors also bound the round-off of both parts.
     """
-    if quad_tol <= 0:
-        raise ValidationError("quad_tol must be positive")
-    if freq_cutoff is not None and freq_cutoff <= 0:
-        raise ValidationError("freq_cutoff must be positive")
     a = A.a
     n = A.n
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     theta = xs_arr - center(A)
     use_si_tail = n <= 11
     if use_si_tail:
-        T = freq_cutoff if freq_cutoff is not None else max(20.0, 4.0 / a[0])
+        T = max(20.0, 4.0 / a[0])
         tail_err = 0.0
     else:
         # log of prod(2/a_k): the product itself overflows from n ~ 210 on
         log_inv = float(np.sum(np.log(2.0 / a)))
-        T = math.exp((log_inv - math.log(0.5 * (n - 1) * np.pi * quad_tol))
+        T = math.exp((log_inv - math.log(0.5 * (n - 1) * np.pi * _TAIL_TOL))
                      / (n - 1))
         T = max(T, 2.0 / a[0], 20.0)
-        if freq_cutoff is not None:
-            T = max(freq_cutoff, 2.0 / a[0])
         tail_err = math.exp(log_inv - (n - 1) * math.log(T)) / ((n - 1) * np.pi)
 
     wmax = 0.5 * float(np.sum(a)) + float(np.max(np.abs(theta))) + 1.0
@@ -386,12 +371,6 @@ def fourier_values(A: WeightVector, xs, freq_cutoff: float | None = None,
                          tail_error=tail_err, warning=warning)
 
 
-def eval_fourier(A: WeightVector, x: float, freq_cutoff: float | None = None,
-                 quad_tol: float = 1e-7) -> float:
-    """B(x|A) by numerical Fourier inversion (independent oracle)."""
-    return float(fourier_values(A, [x], freq_cutoff, quad_tol).values[0])
-
-
 # ---------------------------------------------------------------------------
 # unified evaluation, section function, maximum
 
@@ -404,8 +383,7 @@ def _resolve_method(A: WeightVector, method: str) -> str:
     return method
 
 
-def density_profile(A: WeightVector, grid, method: str = "auto",
-                    grid_step: float | None = None) -> DensityProfile:
+def density_profile(A: WeightVector, grid, method: str = "auto") -> DensityProfile:
     """Evaluate B(.|A) on an explicit grid with the chosen method."""
     m = _resolve_method(A, method)
     grid = np.asarray(grid, dtype=np.float64)
@@ -415,7 +393,7 @@ def density_profile(A: WeightVector, grid, method: str = "auto",
         # each value is rounded once from the exact one
         tol = float(np.max(np.spacing(vals), initial=0.0)) / 2.0
     elif m == "convolution":
-        prof = eval_convolution(A, grid_step or _auto_conv_step(A, 2.5e-4))
+        prof = eval_convolution(A, min(A.a[0] / 8.0, 2.5e-4))  # step <= a_1/8
         vals = prof.value_at(grid)
         tol = prof.tolerance
     else:

@@ -7,6 +7,8 @@ re-checked with every density evaluator before being reported), 2 any error.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import traceback
 
@@ -16,7 +18,6 @@ from .boxspline import density_profile, phi
 from .errors import BoxgapError, ValidationError
 from .gap import (
     GapReport,
-    _expectation,
     confirm_counterexample,
     gap as gap_report,
     minimize_gap,
@@ -24,7 +25,7 @@ from .gap import (
     threshold_probe,
 )
 from .io import dumps_csv, dumps_json, write_text
-from .rademacher import MC_SAMPLES, f_function
+from .rademacher import MC_SAMPLES, expectation, f_function
 from .saddlepoint import convergence_report
 from .weights import FamilySpec, WeightVector, center, generate, make_unit
 
@@ -42,6 +43,18 @@ def _parse_floats(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+
+
+def _parse_tol(text: str) -> float:
+    """A violation tolerance, finite and >= 0: nan or inf hides every gap."""
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -117,7 +130,7 @@ def cmd_phi(args) -> int:
 
 def cmd_expect(args) -> int:
     A = _weights_from(args)
-    summary = _expectation(A, args.method, args.samples, args.seed)
+    summary = expectation(A, args.method, args.samples, args.seed)
     _emit(args, dumps_json(summary))
     return EXIT_OK
 
@@ -162,8 +175,7 @@ def cmd_scan(args) -> int:
 
 def cmd_minimize(args) -> int:
     start = _weights_from(args)
-    report, exhausted = minimize_gap(start.n, args.c0, start,
-                                            budget=args.budget)
+    report, exhausted = minimize_gap(args.c0, start, budget=args.budget)
     _emit(args, dumps_json({"report": report.to_json_dict(),
                             "budget_exhausted": exhausted}))
     return _exit_for(report, args.tol)
@@ -171,8 +183,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_probe(args) -> int:
     report = threshold_probe(args.c0, args.family, _parse_int_range(args.n),
-                             args.trials, args.seed, args.tol,
-                             threads=args.threads)
+                             args.trials, args.seed, args.tol)
     csv_text = dumps_csv(
         ("n", "min_gap", "min_slack", "slack_tol"),
         ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in report.rows))
@@ -204,6 +215,7 @@ def cmd_converge(args) -> int:
 # parser
 
 
+@functools.cache  # built once per process; parse_args never mutates it
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="boxgap",
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="verify phi_A(0) E - 1 >= 0 for one A")
     _add_weight_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_tol, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     common(p, ("auto", "truncated_power", "convolution", "fourier"))
     p.set_defaults(func=cmd_gap)
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_tol, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p)
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_tol, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_minimize)
 
@@ -275,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, metavar="LO..HI|LIST")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--tol", type=_parse_tol, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_probe)
 

@@ -10,21 +10,13 @@ the proof-route slack max B - 1/F(a_n^-2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .boxspline import TRUNCATED_POWER_CAP, _resolve_method, max_value
 from .errors import ValidationError
-from .rademacher import (
-    ENUM_CAP,
-    MC_SAMPLES,
-    exact_expectation,
-    f_function,
-    mc_expectation,
-)
+from .rademacher import expectation, f_function
 from .saddlepoint import GAUSS_PEAK
 from .weights import FamilySpec, WeightVector, generate, ratio
 
@@ -68,22 +60,12 @@ class GapReport:
         }
 
 
-def _expectation(A: WeightVector, exp_method: str, mc_samples: int, seed: int):
-    if exp_method == "auto":
-        exp_method = "exact" if A.n <= ENUM_CAP else "monte_carlo"
-    if exp_method == "exact":
-        return exact_expectation(A)
-    if exp_method == "monte_carlo":
-        return mc_expectation(A, mc_samples, seed)
-    raise ValidationError(f"unknown expectation method {exp_method!r}")
-
-
 def gap(A: WeightVector, phi_method: str = "auto", f_tol: float = 1e-4,
         seed: int = 0) -> GapReport:
     """Gap report with both the true gap and the F(a_n^-2) lower-bound gap."""
     phi_method = _resolve_method(A, phi_method)
     phi0 = max_value(A, phi_method)
-    summary = _expectation(A, "auto", MC_SAMPLES, seed)
+    summary = expectation(A, seed=seed)
     g = phi0 * summary.expectation - 1.0
     f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
     lower = phi0 * f_an - 1.0
@@ -94,12 +76,6 @@ def gap(A: WeightVector, phi_method: str = "auto", f_tol: float = 1e-4,
                      phi_method=phi_method, exp_method=summary.method,
                      lower_bound_gap=lower, tolerance=tol, f_of_an=f_an,
                      f_error=f_err)
-
-
-def verify(A: WeightVector, tol: float = 1e-9) -> tuple[bool, GapReport]:
-    """True iff the gap is not a violation at tol (equality cases exist)."""
-    report = gap(A)
-    return not report.violates(tol), report
 
 
 def confirm_counterexample(A: WeightVector, tol: float = 1e-9) -> tuple[bool, list[GapReport]]:
@@ -170,7 +146,7 @@ def _project_ratio(a: np.ndarray, c0: float) -> np.ndarray:
     return a
 
 
-def minimize_gap(n: int, c0: float, start: WeightVector,
+def minimize_gap(c0: float, start: WeightVector,
                  budget: int = 2000) -> tuple[GapReport, bool]:
     """Nelder-Mead descent of the gap over the squared-weight simplex chart.
 
@@ -180,8 +156,12 @@ def minimize_gap(n: int, c0: float, start: WeightVector,
     """
     if not 1.0 <= c0 < math.inf:
         raise ValidationError("c0 must be finite and >= 1")
+    if budget < 1:
+        raise ValidationError("budget must be >= 1")
     if ratio(start) > c0 * (1 + 1e-12):
         raise ValidationError("start vector violates the ratio cap")
+    # imported here so that importing boxgap does not load scipy.optimize
+    from scipy.optimize import minimize
 
     def weights_of(q: np.ndarray) -> WeightVector:
         q = np.abs(q)
@@ -232,18 +212,17 @@ class ThresholdReport:
 
 
 def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50,
-                    seed: int = 0, tol: float = 1e-9, f_tol: float = 1e-4,
-                    threads: int = 1) -> ThresholdReport:
+                    seed: int = 0, tol: float = 1e-9) -> ThresholdReport:
     """Empirical N0(c0): least n from which the proof-route slack stays >= 0.
 
     The slack max_x B(x|A) - 1/F(a_n^-2) is the sufficient condition the
     asymptotic argument certifies; it can be negative at small n even where
-    the true gap is positive, and both are reported.  Rows are computed on
-    `threads` threads and merged in n order, so the report does not depend
-    on the thread count.
+    the true gap is positive, and both are reported.
     """
     if not 1.0 <= c0 < math.inf:
         raise ValidationError("c0 must be finite and >= 1")
+    if trials_per_n < 1:
+        raise ValidationError("trials must be >= 1")
     ns = list(n_range)
     if not ns:
         raise ValidationError("n range is empty")
@@ -261,7 +240,7 @@ def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50
             vecs = [generate(FamilySpec("geometric", n, q=q))]
         else:  # equal (and n = 1, where every family collapses)
             vecs = [generate(FamilySpec("equal", n))]
-        reports = [gap(A, f_tol=f_tol) for A in vecs]
+        reports = [gap(A) for A in vecs]
         low = min(reports, key=lambda r: r.gap)  # min keeps the first of ties
         tight = min(reports, key=slack)
         return ThresholdRow(n=n, min_gap=low.gap, argmin=low.A,
@@ -269,8 +248,7 @@ def threshold_probe(c0: float, family_kind: str, n_range, trials_per_n: int = 50
                             # 1/F error propagated from the stated F error
                             slack_tol=tol + tight.f_error / tight.f_of_an**2)
 
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        rows = list(pool.map(row, ns))  # map keeps n order: same at any count
+    rows = [row(n) for n in ns]
     # least n with slack >= -slack_tol there and at every larger n
     n0 = None
     for r in reversed(rows):

@@ -3,7 +3,8 @@
 E is exact up to n = ENUM_CAP = 40: the signed sums of two halves of the
 weights meet through one sorted half (Horowitz-Sahni), in about 2^(n/2) log
 work, with a stated round-off bound.  Beyond the cap it is a seeded Monte
-Carlo mean with its standard error.
+Carlo mean with its standard error.  `expectation` is the one entry point
+that picks between the two.
 
 F(s) = (2/pi) int_0^inf (1 - |cos(t/sqrt(s))|^s) t^-2 dt is increasing with
 limit sqrt(2/pi), and E|sum a_k e_k| >= sum a_k^2 F(a_k^-2) >= F(a_n^-2).
@@ -123,12 +124,11 @@ def exact_expectation(A: WeightVector) -> RademacherSummary:
     return RademacherSummary(expectation=exp, method="exact", n=n, error=err)
 
 
-def mc_expectation(A: WeightVector, samples: int, seed: int,
-                   stream: int = 0) -> RademacherSummary:
+def mc_expectation(A: WeightVector, samples: int, seed: int) -> RademacherSummary:
     """Sample mean of |sum a_k e_k| over seeded Rademacher draws."""
     if samples < MC_MIN_SAMPLES:
         raise ValidationError(f"need at least {MC_MIN_SAMPLES} samples")
-    rng = np.random.Generator(np.random.Philox(seed=[int(seed), int(stream)]))
+    rng = np.random.Generator(np.random.Philox(seed=[int(seed), 0]))
     part_sum: list[float] = []
     part_sq: list[float] = []
     done = 0
@@ -145,6 +145,19 @@ def mc_expectation(A: WeightVector, samples: int, seed: int,
     stderr = math.sqrt(var / samples)
     return RademacherSummary(expectation=mean, method="monte_carlo", n=A.n,
                              samples=samples, stderr=stderr)
+
+
+def expectation(A: WeightVector, method: str = "auto",
+                samples: int = MC_SAMPLES, seed: int = 0) -> RademacherSummary:
+    """E|sum a_k e_k| by `method`: "exact", "monte_carlo", or "auto", which is
+    exact up to n = ENUM_CAP and Monte Carlo (samples draws, seeded) beyond."""
+    if method == "auto":
+        method = "exact" if A.n <= ENUM_CAP else "monte_carlo"
+    if method == "exact":
+        return exact_expectation(A)
+    if method == "monte_carlo":
+        return mc_expectation(A, samples, seed)
+    raise ValidationError(f"unknown expectation method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +261,12 @@ def f_function(s: float, tol: float = 1e-4) -> tuple[float, float]:
     return value, err
 
 
-def khinchine_bounds(A: WeightVector, tol: float = 1e-4) -> KhinchineBound:
+def khinchine_bounds(A: WeightVector) -> KhinchineBound:
     """Lower-bound chain F(a_n^-2) <= sum a_k^2 F(a_k^-2) (<= E)."""
     weighted = 0.0
     weighted_err = 0.0
     for ak in A.a:  # ascending, so the last (v, e) is F(a_n^-2)
-        v, e = f_function(float(ak) ** -2, tol)
+        v, e = f_function(float(ak) ** -2)
         weighted += float(ak) ** 2 * v
         weighted_err += float(ak) ** 2 * e
     return KhinchineBound(f_of_an=v, weighted_sum=weighted,

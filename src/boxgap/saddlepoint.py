@@ -16,11 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .boxspline import density_profile
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 from .weights import FamilySpec, WeightVector, center, generate
 
 _SMALL = 5e-2     # |u| below which g(u) = ln((e^u - 1)/u) uses its series
 _LARGE = 600.0    # |u| above which g(u) uses its asymptote (e^-|u| < 1e-260)
+_MAX_ITER = 100   # saddle solve steps before NumericalError
+_SIGMAS = 3.0     # convergence grids span center +/- _SIGMAS sigma
 
 GAUSS_PEAK = math.sqrt(6.0 / math.pi)
 
@@ -91,7 +93,7 @@ class SaddleSolution:
     residual: float
 
 
-def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSolution:
+def solve_saddle(A: WeightVector, x: float) -> SaddleSolution:
     """Solve K'(s0) = x by Halley's method from the Gaussian start 12 (x - c)
     or, far in a tail, from s = -n/x.
 
@@ -120,7 +122,7 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
     K(-s) = K(s) - s total, K'(-s) = total - K'(s) and K'' even, so the
     residual is formed at the nearer support end without cancellation and
     the stop test |K' - x| <= 1e-12 min(x, total - x) is relative.  Where K''
-    underflows, or the solve has not converged in max_iter steps,
+    underflows, or the solve has not converged in _MAX_ITER steps,
     NumericalError is raised.
     """
     x = float(x)
@@ -133,7 +135,7 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
     n = len(a)
     tol = 1e-12 * y
     s = -n / y if y < n * a[0] / 40.0 else 12.0 * (y - 0.5 * total)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         k, kp, kpp, kppp = _cumulants(a, s)
         f = kp - y
         if abs(f) <= tol:
@@ -147,7 +149,7 @@ def solve_saddle(A: WeightVector, x: float, max_iter: int = 100) -> SaddleSoluti
         den = 1.0 - 0.5 * r * kppp / kpp
         s -= r / den if den > 0.0 else r
     raise NumericalError(
-        f"saddle solve did not converge in {max_iter} iterations at x = {x:g}")
+        f"saddle solve did not converge in {_MAX_ITER} iterations at x = {x:g}")
 
 
 def saddle_density(A: WeightVector, x: float) -> float:
@@ -185,18 +187,21 @@ class ConvergenceReport:
     grid: str
 
 
-def convergence_report(family: Sequence[FamilySpec], points: int = 121,
-                       sigmas: float = 3.0) -> list[ConvergenceReport]:
+def convergence_report(family: Sequence[FamilySpec],
+                       points: int = 121) -> list[ConvergenceReport]:
     """Sup and L2 distance between B(.|A) and its Gaussian limit.
 
-    The grid covers center +/- sigmas standard deviations (sigma = 1/sqrt(12)).
+    The grid has `points` >= 2 points over center +/- _SIGMAS standard
+    deviations (sigma = 1/sqrt(12)).
     """
+    if points < 2:
+        raise ValidationError("points must be >= 2")
     sigma = 1.0 / math.sqrt(12.0)
     out = []
     for spec in family:
         A = generate(spec)
         c = center(A)
-        grid = np.linspace(c - sigmas * sigma, c + sigmas * sigma, points)
+        grid = np.linspace(c - _SIGMAS * sigma, c + _SIGMAS * sigma, points)
         exact = density_profile(A, grid, method="auto")
         gauss = gaussian_limit(A, grid)
         diff = np.asarray(exact.values) - gauss
@@ -205,30 +210,5 @@ def convergence_report(family: Sequence[FamilySpec], points: int = 121,
         out.append(ConvergenceReport(
             n=A.n, sup_distance=sup, l2_distance=l2,
             method_pair=(exact.method, "gaussian"),
-            grid=f"center +/- {sigmas:g} sigma, {points} points"))
+            grid=f"center +/- {_SIGMAS:g} sigma, {points} points"))
     return out
-
-
-@dataclass
-class ThirdDerivativeCheck:
-    """Finite-difference s0'''(center) against the closed-form candidate.
-
-    The closed form 864/5 * sum(a^4) is reported alongside the measured value;
-    disagreement beyond 20% is flagged rather than asserted either way.
-    """
-
-    fd_value: float
-    formula_value: float
-    rel_disagreement: float
-    flagged: bool
-
-
-def saddle_third_derivative_check(A: WeightVector,
-                                  h: float = 0.02) -> ThirdDerivativeCheck:
-    c = center(A)
-    s = [solve_saddle(A, c + k * h).s0 for k in (-2, -1, 1, 2)]
-    fd = (s[3] - 2.0 * s[2] + 2.0 * s[1] - s[0]) / (2.0 * h**3)
-    formula = 864.0 * float(np.sum(A.a**4)) / 5.0
-    rel = abs(fd - formula) / max(abs(formula), 1e-30)
-    return ThirdDerivativeCheck(fd_value=fd, formula_value=formula,
-                                rel_disagreement=rel, flagged=rel > 0.2)

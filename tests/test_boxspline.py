@@ -9,8 +9,6 @@ from boxgap.boxspline import (
     TRUNCATED_POWER_CAP,
     density_profile,
     eval_convolution,
-    eval_fourier,
-    eval_truncated_power,
     fourier_values,
     max_value,
     phi,
@@ -33,9 +31,9 @@ def _random_A(n, seed, c0=4.0):
 def test_n1_is_uniform_density():
     A = make_unit([1.0])
     for x in [0.1, 0.25, 0.5, 0.9]:
-        assert eval_truncated_power(A, x) == pytest.approx(1.0, abs=1e-15)
-    assert eval_truncated_power(A, -0.5) == 0.0
-    assert eval_truncated_power(A, 1.5) == 0.0
+        assert truncated_power_raw(A.a, x) == pytest.approx(1.0, abs=1e-15)
+    assert truncated_power_raw(A.a, -0.5) == 0.0
+    assert truncated_power_raw(A.a, 1.5) == 0.0
 
 
 def test_n2_trapezoid_closed_form():
@@ -52,14 +50,14 @@ def test_n2_trapezoid_closed_form():
         return (1.4 - x) / 0.48
 
     for x in [0.1, 0.3, 0.59, 0.6, 0.7, 0.8, 1.0, 1.3]:
-        assert eval_truncated_power(A, x) == pytest.approx(oracle(x), abs=1e-12)
+        assert truncated_power_raw(A.a, x) == pytest.approx(oracle(x), abs=1e-12)
 
 
 def test_equal_n3_center_value():
     # 2 B(3/2 | 1,1,1) = 3/2 and unit scaling: value sqrt(3) * 3/4
     A = generate(FamilySpec("equal", 3))
     expected = math.sqrt(3.0) * 0.75
-    assert eval_truncated_power(A, center(A)) == pytest.approx(expected,
+    assert truncated_power_raw(A.a, center(A)) == pytest.approx(expected,
                                                                abs=1e-12)
     assert phi(A, 0.0) == pytest.approx(1.2990381, abs=5e-8)
 
@@ -107,7 +105,7 @@ def test_exact_path_bit_equal_to_equal_weight_oracle(n):
 def test_exact_path_bit_equal_to_subset_oracle(seed):
     A = _random_A(13, seed=seed)
     for x in [center(A), 0.3 * A.total]:
-        assert eval_truncated_power(A, x) == float(_subset_oracle(A.a, x))
+        assert truncated_power_raw(A.a, x) == float(_subset_oracle(A.a, x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
@@ -137,7 +135,7 @@ def test_tiny_points_evaluated_exactly(n):
         assert v == float(_subset_oracle(A.a, x))
     assert values[0] > 0.0 if n == 2 else values[0] == 0.0
     # the tiny points leave the other points' values alone
-    assert values[-1] == eval_truncated_power(A, center(A))
+    assert values[-1] == truncated_power_raw(A.a, center(A))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_fourier_n1_jump_flagged():
 def test_capability_cap():
     A = generate(FamilySpec("equal", TRUNCATED_POWER_CAP + 1))
     with pytest.raises(CapabilityError):
-        eval_truncated_power(A, center(A))
+        truncated_power_raw(A.a, center(A))
     with pytest.raises(CapabilityError):  # an explicit method obeys the cap
         density_profile(A, [center(A)], method="truncated_power")
     # density_profile auto falls back to the convolution oracle
@@ -240,7 +238,7 @@ def test_truncated_power_rejects_non_finite_weights(bad):
 def test_truncated_power_rejects_non_finite_points(n, x):
     A = _random_A(n, seed=n)
     with pytest.raises(DomainError):
-        eval_truncated_power(A, x)
+        truncated_power_raw(A.a, x)
     for method in ["auto", "convolution", "fourier"]:
         with pytest.raises(DomainError):
             density_profile(A, [center(A), x], method)
@@ -262,7 +260,7 @@ def test_profile_exports_and_interp():
     prof = density_profile(A, grid, "truncated_power")
     assert np.all(prof.exported_values() >= 0.0)
     mid = 0.5 * A.total
-    assert prof.value_at(mid) == pytest.approx(eval_truncated_power(A, mid),
+    assert prof.value_at(mid) == pytest.approx(truncated_power_raw(A.a, mid),
                                                abs=1e-9)
     rows = list(prof.to_csv_rows())
     assert len(rows) == grid.size and rows[0][2] == "truncated_power"
@@ -299,7 +297,7 @@ def test_max_value_center_identity():
     for n, seed in [(3, 5), (9, 6), (16, 7)]:
         A = _random_A(n, seed=seed)
         assert max_value(A) == pytest.approx(
-            eval_truncated_power(A, center(A)), abs=1e-12)
+            truncated_power_raw(A.a, center(A)), abs=1e-12)
 
 
 def test_max_value_keeps_no_table():
@@ -334,7 +332,7 @@ def test_phi_far_from_center_positive_small():
     r = 0.9 * center(A)
     v = phi(A, r)
     assert 0.0 < v < 0.2
-    assert v == pytest.approx(eval_truncated_power(A, center(A) + r), abs=1e-12)
+    assert v == pytest.approx(truncated_power_raw(A.a, center(A) + r), abs=1e-12)
 
 
 def test_section_volume_mc_matches_phi():

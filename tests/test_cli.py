@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,8 +171,9 @@ def test_minimize(capsys):
 def test_probe_threads_match_serial(capsys):
     base = ("probe", "--c0", "1", "--family", "equal", "--n", "1..6")
     _, serial, _ = run(capsys, *base)
-    _, threaded, _ = run(capsys, *base, "--threads", "4")
-    assert serial == threaded  # ordered merge keeps determinism
+    with pytest.raises(SystemExit) as exc:  # rows are built on one thread
+        main([*base, "--threads", "4"])
+    assert exc.value.code == EXIT_ERROR
     d = json.loads(serial)
     assert d["empirical_N0"] == 4
     assert all(row["min_gap"] >= -1e-9 for row in d["rows"])
@@ -227,6 +232,78 @@ def test_error_exit_codes(capsys):
             assert code == EXIT_ERROR and out == "" and "c0" in err, argv
 
 
+def test_tol_must_be_finite_and_nonnegative(capsys):
+    # nan or inf would hide every violation; a negative tol moves probe's N0
+    for argv in (("gap", "--weights", "1,2,3"),
+                 ("scan", "--n", "3", "--c0", "2", "--trials", "1"),
+                 ("minimize", "--equal", "3", "--c0", "2", "--budget", "1"),
+                 ("probe", "--c0", "1", "--n", "1..2")):
+        for tol in ("nan", "inf", "-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--tol={tol}"])
+            assert exc.value.code == EXIT_ERROR
+            assert "--tol" in capsys.readouterr().err
+        code, _, _ = run(capsys, *argv, "--tol", "0")
+        assert code == EXIT_OK
+
+
+def test_probe_rejects_zero_trials(capsys):
+    code, out, err = run(capsys, "probe", "--c0", "2", "--family", "random",
+                         "--n", "2..4", "--trials", "0")
+    assert code == EXIT_ERROR and out == "" and "trials" in err
+
+
+def test_minimize_rejects_nonpositive_budget(capsys):
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "minimize", "--equal", "3", "--c0", "2",
+                             "--budget", budget)
+        assert code == EXIT_ERROR and out == "" and "budget" in err
+
+
+def test_converge_needs_two_points(capsys):
+    for points in ("0", "1"):
+        code, out, err = run(capsys, "converge", "--n", "4",
+                             "--points", points)
+        assert code == EXIT_ERROR and out == "" and "points" in err
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # one call's flags (--seed 5, --tol 0.5) must not leak into the next
+    argvs = [
+        ("expect", "--equal", "4", "--method", "monte_carlo",
+         "--samples", "10000", "--seed", "5"),
+        ("expect", "--equal", "4", "--method", "monte_carlo",
+         "--samples", "10000"),
+        ("gap", "--weights", "1,2,3", "--tol", "0.5"),
+        ("gap", "--weights", "1,2,3"),
+        ("probe", "--c0", "1", "--n", "1..3", "--format", "csv"),
+        ("probe", "--c0", "1", "--n", "1..3"),
+        ("fbound", "--s", "2"),
+        ("eval", "--equal", "3", "--grid", "0:1:0.5"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [run(capsys, *argv)[:2] for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv)[:2])
+    assert cached == fresh
+    assert cached[0] != cached[1]  # the seed reached the first call only
+    parser = cli.build_parser()
+    assert parser.parse_args(["gap", "--equal", "3", "--tol", "0.5"]).tol == 0.5
+    assert parser.parse_args(["gap", "--equal", "3"]).tol == 1e-9
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # minimize_gap imports it when called; the other commands never load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, boxgap.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_unexpected_error_exits_2(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -260,6 +337,60 @@ def test_eval_random_exit_code_contract(n, c0, seed, method, at):
                      "--method", method])
     capped = method == "truncated_power" and n > TRUNCATED_POWER_CAP
     assert code == (EXIT_ERROR if capped or at != "center" else EXIT_OK)
+
+
+_NUM = st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "0.5", "1", "2",
+                        "4"])
+_INT = st.sampled_from(["", "nan", "-1", "0", "1", "2", "3"])
+_N = st.sampled_from(["", "nan", "-3", "0", "1", "2", "5", "8"])
+_SEED = st.sampled_from(["", "nan", "-1", "0", "7", str(2**64)])
+_WEIGHTS = st.one_of(
+    _N.map(lambda n: f"--equal={n}"),
+    st.tuples(_N, _NUM, _SEED).map(lambda t: "--random=" + ",".join(t)),
+    st.tuples(_N, _NUM).map(lambda t: "--geometric=" + ",".join(t)),
+    st.lists(_NUM, max_size=8).map(lambda xs: "--weights=" + ",".join(xs)),
+)
+_ARGV = st.one_of(
+    st.builds(lambda n, c0, trials, seed, tol: [
+        "scan", f"--n={n}", f"--c0={c0}", f"--trials={trials}",
+        f"--seed={seed}", f"--tol={tol}"], _N, _NUM, _INT, _SEED, _NUM),
+    st.builds(lambda w, c0, budget, tol: [
+        "minimize", w, f"--c0={c0}", f"--budget={budget}", f"--tol={tol}"],
+        _WEIGHTS, _NUM, st.sampled_from(["", "nan", "-5", "0", "1", "20"]),
+        _NUM),
+    st.builds(lambda c0, family, ns, trials, seed, tol: [
+        "probe", f"--c0={c0}", f"--family={family}", f"--n={ns}",
+        f"--trials={trials}", f"--seed={seed}", f"--tol={tol}"],
+        _NUM, st.sampled_from(["equal", "geometric", "random", "other"]),
+        st.sampled_from(["", "nan", "1..8", "2,4", "8..1", "-2..2", "0",
+                         "3..inf", "5", "1..", ","]), _INT, _SEED, _NUM),
+    st.builds(lambda w, method, samples, seed: [
+        "expect", w, f"--method={method}", f"--samples={samples}",
+        f"--seed={seed}"],
+        _WEIGHTS, st.sampled_from(["auto", "exact", "monte_carlo"]),
+        st.sampled_from(["", "nan", "-1", "0", "9999", "10000", "20000"]),
+        _SEED),
+    st.builds(lambda s, tol: ["fbound", f"--s={s}", f"--tol={tol}"],
+              st.sampled_from(["", "nan", "inf", "-1", "0", "1e-300", "0.5",
+                               "2", "3", "1e4", "1e9", "1e10"]),
+              st.sampled_from(["", "nan", "inf", "-1", "0", "1e-12", "1e-4",
+                               "1"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV)
+def test_exit_code_contract_on_bad_tokens(argv):
+    # NaN, inf, negative and empty tokens exit 0 or 2, never 1, and never
+    # reach the traceback of an unexpected error
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_ERROR), argv
+    assert "Traceback" not in sink.getvalue(), argv
 
 
 def test_mutually_exclusive_weight_flags(capsys):

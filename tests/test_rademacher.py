@@ -11,6 +11,7 @@ from boxgap.rademacher import (
     SQRT_2_OVER_PI,
     _terms,
     exact_expectation,
+    expectation,
     f_function,
     khinchine_bounds,
     mc_expectation,
@@ -115,6 +116,16 @@ def test_mc_deterministic_and_validated():
     assert other.expectation != one.expectation
     with pytest.raises(ValidationError):
         mc_expectation(A, samples=999, seed=0)
+
+
+def test_expectation_auto_is_exact_up_to_the_cap():
+    A = generate(FamilySpec("equal", ENUM_CAP))
+    assert expectation(A) == exact_expectation(A)
+    B = generate(FamilySpec("equal", ENUM_CAP + 1))
+    assert (expectation(B, samples=10**4, seed=9)
+            == mc_expectation(B, samples=10**4, seed=9))
+    with pytest.raises(ValidationError):
+        expectation(A, method="other")
 
 
 # ---------------------------------------------------------------------------
