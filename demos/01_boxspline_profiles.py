@@ -36,7 +36,8 @@ print(f"\nmax |tp - conv|    = {np.max(np.abs(np.asarray(tp.values) - cv.value_a
 print(f"max |tp - fourier| = {np.max(np.abs(np.asarray(tp.values) - np.asarray(fr.values))):.2e}")
 
 # the maximum sits at the center; phi recentres the profile there
-print(f"\nmax_value          = {max_value(A):.10f}")
+peak, err, method = max_value(A)
+print(f"\nmax_value          = {peak:.10f} +/- {err:.1e} ({method})")
 print(f"phi(0)             = {phi(A, 0.0):.10f}")
 
 # Monte Carlo slab volume as a model-independent sanity check

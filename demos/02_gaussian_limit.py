@@ -28,9 +28,9 @@ print(f"Gaussian peak sqrt(6/pi) = {GAUSS_PEAK:.7f}\n")
 
 print("peak of B(.|A) along the equal-weight family:")
 for n in (4, 8, 16, 32, 64):
-    A = generate(FamilySpec("equal", n))
-    print(f"  n = {n:3d}: max = {max_value(A):.7f}"
-          f"   (gap to limit {GAUSS_PEAK - max_value(A):+.5f})")
+    peak, err, method = max_value(generate(FamilySpec("equal", n)))
+    print(f"  n = {n:3d}: max = {peak:.7f} +/- {err:.0e} by {method:15s}"
+          f" (gap to limit {GAUSS_PEAK - peak:+.5f})")
 
 print("\nsup-distance to the Gaussian limit (halves when n doubles):")
 for rep in convergence_report([FamilySpec("equal", n) for n in (8, 16, 32)]):

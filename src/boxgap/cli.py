@@ -38,26 +38,25 @@ EXIT_ERROR = 2
 # argument parsing helpers
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+def _arg(label: str, convert):
+    """An argparse type: convert(text); a ValueError or None reads 'need label'."""
+    def parse(text: str):
+        try:
+            if (value := convert(text)) is not None:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {label}, got {text!r}")
+    return parse
 
 
-def _parse_tol(text: str) -> float:
-    """A violation tolerance, finite and >= 0: nan or inf hides every gap."""
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
+def _fields(sep: str, *kinds):
+    """len(kinds) values joined by sep; None for another count."""
+    return lambda text: (tuple(k(t) for k, t in zip(kinds, text.split(sep)))
+                         if text.count(sep) == len(kinds) - 1 else None)
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _int_range(text: str) -> list[int]:
     """'1..8' -> [1..8]; '8,16,32' -> [8, 16, 32]; '5' -> [5]."""
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -65,14 +64,24 @@ def _parse_int_range(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+_FLOATS = _arg("numbers a,b,c", lambda t: [float(x) for x in t.split(",") if x.strip()])
+# a violation tolerance: nan or inf would hide every gap
+_TOL = _arg("a finite tolerance >= 0",
+            lambda t: float(t) if 0.0 <= float(t) < math.inf else None)
+_SEED = _arg("a non-negative integer", lambda t: int(t) if int(t) >= 0 else None)
+_POINT = _arg("a number or 'center'", lambda t: t if t == "center" else float(t))
+_N_RANGE = _arg("LO..HI or a list of integers", _int_range)
+
+
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--weights", type=_parse_floats, metavar="a,b,c",
+    g.add_argument("--weights", type=_FLOATS, metavar="a,b,c",
                    help="explicit weights (sorted and unit-normalized)")
     g.add_argument("--equal", type=int, metavar="N", help="equal weights")
-    g.add_argument("--geometric", metavar="N,Q",
-                   help="geometric weights q^0..q^(n-1)")
+    g.add_argument("--geometric", type=_arg("N,Q", _fields(",", int, float)),
+                   metavar="N,Q", help="geometric weights q^0..q^(n-1)")
     g.add_argument("--random", metavar="N,C0,SEED",
+                   type=_arg("N,C0,SEED", _fields(",", int, float, int)),
                    help="seeded random weights with ratio cap c0")
 
 
@@ -82,10 +91,10 @@ def _weights_from(args) -> WeightVector:
     if args.equal is not None:
         return generate(FamilySpec("equal", args.equal))
     if args.geometric is not None:
-        n, q = args.geometric.split(",", 1)
-        return generate(FamilySpec("geometric", int(n), q=float(q)))
-    n, c0, seed = args.random.split(",", 2)
-    return generate(FamilySpec("random", int(n), c0=float(c0), seed=int(seed)))
+        n, q = args.geometric
+        return generate(FamilySpec("geometric", n, q=q))
+    n, c0, seed = args.random
+    return generate(FamilySpec("random", n, c0=c0, seed=seed))
 
 
 def _emit(args, json_text: str, csv_text: str | None = None) -> None:
@@ -104,15 +113,14 @@ def _emit(args, json_text: str, csv_text: str | None = None) -> None:
 def cmd_eval(args) -> int:
     A = _weights_from(args)
     if args.grid is not None:
-        start, stop, step = (float(t) for t in args.grid.split(":"))
+        start, stop, step = args.grid
         if not (np.isfinite([start, stop]).all() and 0 < step < np.inf
                 and start <= stop):
             raise ValidationError(
                 f"bad grid {args.grid!r}: need finite START <= STOP and STEP > 0")
         grid = np.arange(start, stop + step / 2.0, step)
     else:
-        at = center(A) if args.at == "center" else float(args.at)
-        grid = np.array([at])
+        grid = np.array([center(A) if args.at == "center" else args.at])
     prof = density_profile(A, grid, method=args.method)
     _emit(args, dumps_json(prof),
           dumps_csv(("x", "value", "method"), prof.to_csv_rows()))
@@ -121,7 +129,7 @@ def cmd_eval(args) -> int:
 
 def cmd_phi(args) -> int:
     A = _weights_from(args)
-    r = 0.0 if args.r == "center" else float(args.r)
+    r = 0.0 if args.r == "center" else args.r
     value = phi(A, r, method=args.method)
     _emit(args, dumps_json({"A": A.to_json(), "r": r, "phi": value,
                             "method": args.method}))
@@ -182,7 +190,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    report = threshold_probe(args.c0, args.family, _parse_int_range(args.n),
+    report = threshold_probe(args.c0, args.family, args.n,
                              args.trials, args.seed, args.tol)
     csv_text = dumps_csv(
         ("n", "min_gap", "min_slack", "slack_tol"),
@@ -192,11 +200,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    ns = _parse_int_range(args.n)
     if args.family == "equal":
-        specs = [FamilySpec("equal", n) for n in ns]
+        specs = [FamilySpec("equal", n) for n in args.n]
     elif args.family == "geometric":
-        specs = [FamilySpec("geometric", n, q=args.q) for n in ns]
+        specs = [FamilySpec("geometric", n, q=args.q) for n in args.n]
     else:
         raise BoxgapError(f"converge supports equal/geometric, not {args.family!r}")
     reports = convergence_report(specs, points=args.points)
@@ -231,22 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="tabulate B(.|A) on a grid or at a point")
     _add_weight_flags(p)
-    p.add_argument("--grid", metavar="START:STOP:STEP")
-    p.add_argument("--at", default="center",
+    p.add_argument("--grid", metavar="START:STOP:STEP", type=_arg(
+        "START:STOP:STEP", _fields(":", float, float, float)))
+    p.add_argument("--at", type=_POINT, default="center",
                    help="single abscissa, or 'center' for sum(a)/2")
     common(p, ("auto", "truncated_power", "convolution", "fourier"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("phi", help="section function phi_A(r) = B(r + center)")
     _add_weight_flags(p)
-    p.add_argument("--r", default="0", help="offset from the center")
+    p.add_argument("--r", type=_POINT, default=0.0,
+                   help="offset from the center")
     common(p, ("auto", "truncated_power", "convolution", "fourier"))
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("expect", help="Rademacher expectation E|sum a_k e_k|")
     _add_weight_flags(p)
     p.add_argument("--samples", type=int, default=MC_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     common(p, ("auto", "exact", "monte_carlo"))
     p.set_defaults(func=cmd_expect)
 
@@ -258,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="verify phi_A(0) E - 1 >= 0 for one A")
     _add_weight_flags(p)
-    p.add_argument("--tol", type=_parse_tol, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
+    p.add_argument("--seed", type=_SEED, default=0)
     common(p, ("auto", "truncated_power", "convolution", "fourier"))
     p.set_defaults(func=cmd_gap)
 
@@ -267,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_parse_tol, default=1e-9)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p)
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--tol", type=_parse_tol, default=1e-9)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_minimize)
 
@@ -284,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--family", choices=("equal", "geometric", "random"),
                    default="equal")
-    p.add_argument("--n", required=True, metavar="LO..HI|LIST")
+    p.add_argument("--n", type=_N_RANGE, required=True, metavar="LO..HI|LIST")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_parse_tol, default=1e-9)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--tol", type=_TOL, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("converge", help="sup/L2 distance to the Gaussian limit")
     p.add_argument("--family", default="equal")
-    p.add_argument("--n", required=True, metavar="LIST")
+    p.add_argument("--n", type=_N_RANGE, required=True, metavar="LIST")
     p.add_argument("--q", type=float, default=0.9)
     p.add_argument("--points", type=int, default=121)
     common(p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxspline import TRUNCATED_POWER_CAP, _resolve_method, max_value
+from .boxspline import _U, TRUNCATED_POWER_CAP, max_value
 from .errors import ValidationError
 from .rademacher import expectation, f_function
 from .saddlepoint import GAUSS_PEAK
@@ -62,17 +62,16 @@ class GapReport:
 
 def gap(A: WeightVector, phi_method: str = "auto", f_tol: float = 1e-4,
         seed: int = 0) -> GapReport:
-    """Gap report with both the true gap and the F(a_n^-2) lower-bound gap."""
-    phi_method = _resolve_method(A, phi_method)
-    phi0 = max_value(A, phi_method)
+    """Gap report with both the true gap and the F(a_n^-2) lower-bound gap; its
+    tolerance adds the errors stated for phi0 and E and the rounding of G."""
+    phi0, phi_err, phi_method = max_value(A, phi_method)
     summary = expectation(A, seed=seed)
-    g = phi0 * summary.expectation - 1.0
+    E = summary.expectation
+    g = phi0 * E - 1.0
     f_an, f_err = f_function(float(A.a[-1]) ** -2, f_tol)
     lower = phi0 * f_an - 1.0
-    phi_err = 1e-9 if phi_method == "truncated_power" else 1e-5
-    exp_err = summary.error if summary.stderr is None else 4.0 * summary.stderr
-    tol = phi_err * summary.expectation + phi0 * exp_err + 1e-12
-    return GapReport(A=A, phi0=phi0, expectation=summary.expectation, gap=g,
+    tol = phi_err * E + phi0 * summary.error + _U * (phi0 * E + abs(g))
+    return GapReport(A=A, phi0=phi0, expectation=E, gap=g,
                      phi_method=phi_method, exp_method=summary.method,
                      lower_bound_gap=lower, tolerance=tol, f_of_an=f_an,
                      f_error=f_err)

@@ -47,7 +47,7 @@ class RademacherSummary:
     n: int
     samples: int | None = None
     stderr: float | None = None
-    error: float | None = None  # round-off bound of the exact value
+    error: float | None = None  # exact: round-off bound; MC: 4 stderr
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "method": self.method, "expectation": self.expectation}
@@ -125,18 +125,20 @@ def exact_expectation(A: WeightVector) -> RademacherSummary:
 
 
 def mc_expectation(A: WeightVector, samples: int, seed: int) -> RademacherSummary:
-    """Sample mean of |sum a_k e_k| over seeded Rademacher draws."""
+    """Sample mean of |sum a_k e_k| over seeded Rademacher draws, stated to
+    4 standard errors; chunks of at most 2^22 signs bound memory at any n."""
     if samples < MC_MIN_SAMPLES:
         raise ValidationError(f"need at least {MC_MIN_SAMPLES} samples")
     rng = np.random.Generator(np.random.Philox(seed=[int(seed), 0]))
     part_sum: list[float] = []
     part_sq: list[float] = []
     done = 0
-    chunk = 1 << 16
+    chunk = max(1, min(1 << 16, (1 << 22) // A.n))
     while done < samples:
         k = min(chunk, samples - done)
         signs = rng.integers(0, 2, size=(k, A.n)).astype(np.float64) * 2.0 - 1.0
         z = np.abs(signs @ A.a)
+        del signs  # before the next chunk's draws
         part_sum.append(float(np.sum(z)))
         part_sq.append(float(np.sum(z * z)))
         done += k
@@ -144,7 +146,7 @@ def mc_expectation(A: WeightVector, samples: int, seed: int) -> RademacherSummar
     var = max(fsum(part_sq) / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples)
     return RademacherSummary(expectation=mean, method="monte_carlo", n=A.n,
-                             samples=samples, stderr=stderr)
+                             samples=samples, stderr=stderr, error=4.0 * stderr)
 
 
 def expectation(A: WeightVector, method: str = "auto",

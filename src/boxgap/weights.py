@@ -122,8 +122,8 @@ def generate(spec: FamilySpec) -> WeightVector:
     if spec.kind == "random":
         if spec.c0 is None or not 1.0 <= spec.c0 < np.inf:
             raise ValidationError("random family needs a finite ratio cap c0 >= 1")
-        if spec.seed is None:
-            raise ValidationError("random family needs a seed")
+        if spec.seed is None or spec.seed < 0:
+            raise ValidationError("random family needs a non-negative seed")
         rng = np.random.default_rng(int(spec.seed))
         # i.i.d. uniform in [1, c0]: the ratio cap holds by construction
         raw = rng.uniform(1.0, float(spec.c0), size=spec.n)

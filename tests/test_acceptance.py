@@ -50,7 +50,7 @@ def test_criterion_1_equality_table(capsys):
 
 def test_criterion_2_gaussian_peak_limit(capsys):
     t0 = time.perf_counter()
-    peak = max_value(generate(FamilySpec("equal", 64)))
+    peak, _, _ = max_value(generate(FamilySpec("equal", 64)))
     reports = convergence_report([FamilySpec("equal", n) for n in (8, 16, 32)])
     sups = [r.sup_distance for r in reports]
     r1, r2 = sups[0] / sups[1], sups[1] / sups[2]

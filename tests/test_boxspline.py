@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boxgap.boxspline import (
+    _CONV_ALLOWANCE,
     TRUNCATED_POWER_CAP,
     density_profile,
     eval_convolution,
@@ -205,14 +206,12 @@ def test_fourier_certified_error():
             assert stated <= 1e4 * actual
 
 
-def test_fourier_n1_jump_flagged():
+def test_fourier_n1_interior_and_jump():
     A = make_unit([1.0])
     interior = fourier_values(A, [0.5])
     assert interior.values[0] == pytest.approx(1.0, abs=1e-6)
-    assert not interior.warning
     edge = fourier_values(A, [1.0])  # jump of the indicator density
     assert edge.values[0] == pytest.approx(0.5, abs=1e-6)
-    assert edge.warning
 
 
 def test_capability_cap():
@@ -221,9 +220,10 @@ def test_capability_cap():
         truncated_power_raw(A.a, center(A))
     with pytest.raises(CapabilityError):  # an explicit method obeys the cap
         density_profile(A, [center(A)], method="truncated_power")
-    # density_profile auto falls back to the convolution oracle
+    # past the cap auto takes Fourier, which states its own error
     prof = density_profile(A, [center(A)], method="auto")
-    assert prof.method == "convolution"
+    assert prof.method == "fourier"
+    assert 0.0 < prof.tolerance <= 1e-6
     assert prof.values[0] == pytest.approx(math.sqrt(6.0 / math.pi), abs=0.01)
 
 
@@ -294,10 +294,30 @@ def test_exported_values_floor_is_stated_tolerance():
 
 
 def test_max_value_center_identity():
+    # one evaluation at the center: the correctly rounded value, half an ulp
     for n, seed in [(3, 5), (9, 6), (16, 7)]:
         A = _random_A(n, seed=seed)
-        assert max_value(A) == pytest.approx(
-            truncated_power_raw(A.a, center(A)), abs=1e-12)
+        value, err, method = max_value(A)
+        assert value == truncated_power_raw(A.a, center(A))
+        assert err == math.ulp(value) / 2.0
+        assert method == "truncated_power"
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_max_value_not_below_grid_max(n):
+    # the center is the maximum: no point of a 201-point grid beats it by
+    # more than the errors stated for both
+    methods = ["convolution", "fourier"]
+    if n <= TRUNCATED_POWER_CAP:
+        methods.append("truncated_power")
+    for A in (_random_A(n, seed=n), generate(FamilySpec("equal", n))):
+        grid = np.linspace(0.0, A.total, 201)
+        for method in methods:
+            value, err, _ = max_value(A, method)
+            prof = density_profile(A, grid, method)
+            grid_err = (_CONV_ALLOWANCE if prof.tolerance is None
+                        else prof.tolerance)
+            assert value >= prof.values.max() - err - grid_err, method
 
 
 def test_max_value_keeps_no_table():

@@ -168,13 +168,14 @@ def test_minimize(capsys):
 # probe / converge
 
 
-def test_probe_threads_match_serial(capsys):
+def test_probe_rejects_threads(capsys):
+    # rows are built on one thread: --threads is no flag of probe
     base = ("probe", "--c0", "1", "--family", "equal", "--n", "1..6")
-    _, serial, _ = run(capsys, *base)
-    with pytest.raises(SystemExit) as exc:  # rows are built on one thread
+    with pytest.raises(SystemExit) as exc:
         main([*base, "--threads", "4"])
     assert exc.value.code == EXIT_ERROR
-    d = json.loads(serial)
+    assert "--threads" in capsys.readouterr().err
+    d = run_json(capsys, *base)
     assert d["empirical_N0"] == 4
     assert all(row["min_gap"] >= -1e-9 for row in d["rows"])
 
@@ -245,6 +246,26 @@ def test_tol_must_be_finite_and_nonnegative(capsys):
             assert "--tol" in capsys.readouterr().err
         code, _, _ = run(capsys, *argv, "--tol", "0")
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("probe", "--c0", "1", "--n", "1.."), "--n"),
+    (("converge", "--n", "8,x"), "--n"),
+    (("scan", "--n", "3", "--c0", "2", "--trials", "2", "--seed", "-1"),
+     "--seed"),
+    (("gap", "--equal", "3", "--seed", "-1"), "--seed"),
+    (("expect", "--equal", "3", "--seed", "-1"), "--seed"),
+    (("gap", "--random", "8,4"), "--random"),
+    (("gap", "--geometric", "5"), "--geometric"),
+    (("eval", "--equal", "3", "--at", "x"), "--at"),
+    (("eval", "--equal", "3", "--grid", "0:x:0.1"), "--grid"),
+    (("phi", "--equal", "3", "--r", "x"), "--r"),
+])
+def test_malformed_values_name_their_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_ERROR
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_probe_rejects_zero_trials(capsys):
@@ -330,7 +351,7 @@ def test_gap_random_exit_code_contract(n, c0, seed):
        at=st.sampled_from(["center", "nan", "inf", "-inf"]))
 def test_eval_random_exit_code_contract(n, c0, seed, method, at):
     # 2 only for a point off the real line or truncated power past its cap;
-    # auto falls back to convolution there
+    # auto takes Fourier there
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(["eval", "--random", f"{n},{c0!r},{seed}", f"--at={at}",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgap.errors import ValidationError
 from boxgap.gap import (
@@ -56,11 +58,33 @@ def test_gap_report_consistency():
     A = generate(FamilySpec("random", 6, c0=3.0, seed=13))
     r = gap(A)
     assert r.gap == pytest.approx(r.phi0 * r.expectation - 1.0, abs=1e-15)
-    # the tolerance carries the stated round-off of the exact E
+    # the tolerance adds the stated errors of phi0 (half an ulp) and of the
+    # exact E, and the rounding of phi0 * E - 1
     e_err = exact_expectation(A).error
-    assert r.tolerance == 1e-9 * r.expectation + r.phi0 * e_err + 1e-12
+    u = 2.0**-53
+    assert r.tolerance == (math.ulp(r.phi0) / 2.0 * r.expectation
+                           + r.phi0 * e_err
+                           + u * (r.phi0 * r.expectation + abs(r.gap)))
+    assert r.tolerance < 1e-14
     assert r.lower_bound_gap <= r.gap + 1e-9  # F-bound is weaker than E
     assert r.tolerance > 0.0
+
+
+_FLAT = st.lists(st.floats(1e-3, 1e3), max_size=6).flatmap(
+    lambda rest: st.floats(0.0, 2.0).map(
+        lambda t: make_unit(rest + [(1.0 + t) * (math.fsum(rest) or 1.0)])))
+_EQUAL4 = st.floats(1e-3, 1e3).map(lambda c: make_unit([c] * 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=st.one_of(_FLAT, _EQUAL4))
+def test_equality_cases_never_violate(A):
+    # a_n >= a_1 + ... + a_(n-1) puts the center on a flat piece where
+    # B = 1/a_n and E = a_n, and 4 equal weights give phi0 E = 1 as well:
+    # the gap is 0, and a gap of 0 is no violation
+    r = gap(A)
+    assert not r.violates(0.0), (r.gap, r.tolerance)
+    assert abs(r.gap) <= 1e-14
 
 
 def test_gap_report_states_f_bound():
@@ -93,7 +117,7 @@ def test_gap_mc_path():
     A = generate(FamilySpec("random", ENUM_CAP + 1, c0=2.0, seed=1))
     r = gap(A, seed=5)
     assert r.exp_method == "monte_carlo"
-    assert r.phi_method == "convolution"
+    assert r.phi_method == "fourier"
     assert r.gap >= -r.tolerance
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,10 +113,25 @@ def test_mc_deterministic_and_validated():
     one = mc_expectation(A, samples=10**4, seed=9)
     two = mc_expectation(A, samples=10**4, seed=9)
     assert one.expectation == two.expectation
+    assert one.error == 4.0 * one.stderr  # the stated error
     other = mc_expectation(A, samples=10**4, seed=10)
     assert other.expectation != one.expectation
     with pytest.raises(ValidationError):
         mc_expectation(A, samples=999, seed=0)
+
+
+def test_mc_memory_bounded_at_large_n():
+    # draws come in chunks of at most 2^22 signs, 32 MB per array; 10^4
+    # rows of 1000 signs in one chunk would take 80 MB per array
+    A = generate(FamilySpec("random", 1000, c0=4.0, seed=1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mc_expectation(A, samples=10**4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 96 * 2**20
 
 
 def test_expectation_auto_is_exact_up_to_the_cap():
