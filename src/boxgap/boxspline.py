@@ -10,6 +10,10 @@ provided:
                     values,
 * convolution     - n sliding-window convolutions of uniform cell masses,
 * fourier         - numerical inversion of the product-of-sinc transform.
+
+The center value alone, phi0 = max B, also comes from center_integral: one
+integral of the sinc product with a proved error bound, which
+max_value(auto) takes from n = _INTEGRAL_FROM on.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from ._num import gl_panels
+from ._num import fsum, gl_panels
 from .errors import CapabilityError, DomainError, NumericalError, ValidationError
 from .weights import WeightVector, center
 
@@ -29,6 +33,14 @@ _U = 0.5 * np.finfo(np.float64).eps  # unit round-off
 _METHODS = ("auto", "truncated_power", "convolution", "fourier")
 _TAIL_TOL = 1e-7  # Fourier tail bound for n > 11 that sets the cutoff T
 _CONV_ALLOWANCE = 1e-5  # charged for convolution's unstated O(step^2) bias
+_INTEGRAL_FROM = 14  # max_value(auto) takes center_integral from this n on
+_INTEGRAL_TOL = 1e-13  # the error center_integral aims at
+_INTEGRAL_NODES = 2**16  # node budget of center_integral
+_PANEL_NODES = 24  # Gauss-Legendre nodes per panel
+_SINC_SWITCH = 2.0794  # the tail majorant of |sinc u| is 1/u past this u
+_TAIL_RATIO = 1.01  # geometric step of the tail bound's grid
+_TAIL_STEPS = 3000  # at most this many steps ...
+_TAIL_SPAN = 1e6  # ... and cuts up to this multiple of the largest T
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +195,8 @@ class DensityProfile:
         return {
             "A": self.A.to_json(),
             "method": self.method,
-            "grid": [float(x) for x in self.grid],
-            "values": [float(v) for v in self.exported_values()],
+            "grid": np.asarray(self.grid, dtype=np.float64).tolist(),
+            "values": self.exported_values().tolist(),
             "tolerance": self.tolerance,
         }
 
@@ -371,6 +383,116 @@ def fourier_values(A: WeightVector, xs) -> FourierResult:
 
 
 # ---------------------------------------------------------------------------
+# the center value as one integral with a proved error
+
+
+def _tail_cutoff(a: np.ndarray, target: float, t_max: float) -> tuple[float, float] | None:
+    """(T, bound): the least T <= t_max on a geometric grid whose bound on
+    int_T^inf |f| is at most target, for f(t) = prod sinc(a_k t/2); None if
+    no such T exists.
+
+    b(u) = exp(-u^2/6) for u <= _SINC_SWITCH and 1/u beyond is a
+    nonincreasing majorant of |sinc u| (log sinc has only negative Taylor
+    coefficients below pi), so g(t) = prod b(a_k t/2) is one of |f|.  The
+    integral over [T, t_cut] is bounded by the upper Riemann sum of g at the
+    left ends of the grid steps, and the one past t_cut by
+    int prod_(k in S) 2/(a_k t) = prod_S (2/a_k) t_cut^(1-|S|)/(|S| - 1)
+    with S = {k : a_k t_cut >= 2}: the other factors are at most 1 and are
+    dropped, so a tiny weight does not push t_cut out.  The best cut at or
+    beyond each T is taken.
+    """
+    n = a.size
+    sq = np.concatenate(([0.0], np.cumsum(a * a)))
+    lg = np.concatenate(([0.0], np.cumsum(np.log(a))))
+    t0 = 0.5 * math.sqrt(24.0 * math.log(2.0 / target) / sq[-1])
+    t_end = max(t_max, min(2.0 * _SINC_SWITCH / a[0], _TAIL_SPAN * t_max))
+    steps = min(max(math.ceil(math.log(t_end / t0) / math.log(_TAIL_RATIO)), 1),
+                _TAIL_STEPS)
+    tau = t0 * _TAIL_RATIO ** np.arange(steps + 1)
+    # log g: factors with u <= _SINC_SWITCH are Gaussian, the rest 1/u
+    s = np.searchsorted(a, 2.0 * _SINC_SWITCH / tau, side="right")
+    log_g = -tau**2 / 24.0 * sq[s] - (lg[n] - lg[s]) - (n - s) * np.log(0.5 * tau)
+    before = np.concatenate(([0.0], np.cumsum(np.diff(tau) * np.exp(log_g[:-1]))))
+    c = n - np.searchsorted(a, 2.0 / tau, side="left")  # |S| at each cut
+    log_c = (c * math.log(2.0) - (lg[n] - lg[n - c]) - (c - 1) * np.log(tau)
+             - np.log(np.maximum(c - 1, 1)))
+    closed = np.where(c >= 2, np.exp(np.minimum(log_c, 700.0)), np.inf)
+    # the best cut j >= i: min_j (sum of steps i..j-1 + closed form at j)
+    tail = np.minimum.accumulate((before + closed)[::-1])[::-1] - before
+    ok = np.flatnonzero((tail <= target) & (tau <= t_max))
+    if ok.size == 0:
+        return None
+    return float(tau[ok[0]]), float(tail[ok[0]])
+
+
+def _center_integral(a: np.ndarray) -> tuple[float, float] | None:
+    """(B(center), its bound) as in center_integral; None past the node budget."""
+    n = a.size
+    total = float(np.sum(a))
+    N = _PANEL_NODES
+    # Bernstein ellipses with rho^(-2N) = 1e-3 tol; the half-width eta0 makes
+    # the ellipse's height y satisfy y sum(a)/2 = 1
+    rho = (1e-3 * _INTEGRAL_TOL) ** (-1.0 / (2 * N))
+    eta0 = 4.0 / (total * (rho - 1.0 / rho))
+    cut = _tail_cutoff(a, 0.5 * np.pi * _INTEGRAL_TOL,
+                       2.0 * eta0 * (_INTEGRAL_NODES // N))
+    if cut is None:
+        return None
+    T, tail_err = cut
+    panels = math.ceil(T / (2.0 * eta0))
+    eta = T / (2.0 * panels)
+    y = 0.5 * eta * (rho - 1.0 / rho)
+    x_min = (2.0 * np.arange(panels) + 1.0) * eta - 0.5 * eta * (rho + 1.0 / rho)
+    z, w = gl_panels(np.linspace(0.0, T, panels + 1), N)
+    v = 0.5 * y * a
+    log_cosh = v + np.log1p(np.exp(-2.0 * v)) - math.log(2.0)
+    log_half_a = np.log(0.5 * a)
+    # sin(u)/u rounds to 1 for u < 2^-27, and such factors are left out
+    h = 0.5 * a[a * T >= 2.0**-26]
+    # blocks of about 2^20 (weight, node) pairs, whole panels each
+    step = max(1, 2**20 // (N * n))
+    wf = np.empty(z.size)
+    log_m = np.empty(panels)
+    for lo in range(0, panels, step):
+        nodes = slice(lo * N, (lo + step) * N)
+        u = np.multiply.outer(h, z[nodes])
+        f = np.sin(u)
+        f /= u
+        wf[nodes] = w[nodes] * np.prod(f, axis=0)
+        # on the ellipse |sinc(a t/2)| <= min(e^v, cosh v/(a x_min/2))
+        xm = x_min[lo:lo + step, None]
+        bound = np.where(xm > 0.0, log_cosh - log_half_a
+                         - np.log(np.where(xm > 0.0, xm, 1.0)), np.inf)
+        log_m[lo:lo + step] = np.sum(np.minimum(v, bound), axis=1)
+    # Trefethen, ATAP Thm 19.3, with N - 1 in place of N in the exponent
+    quad_err = ((64.0 / 15.0) * rho ** (-2 * (N - 1)) / (rho**2 - 1.0) * eta
+                * float(np.sum(np.exp(log_m))))
+    # a correctly rounded sum of z.size terms, each a product of n + 5
+    # rounded factors
+    round_err = _gamma(z.size + n + 5) * float(np.sum(np.abs(wf)))
+    return fsum(wf) / np.pi, float(tail_err + quad_err + round_err) / np.pi
+
+
+def center_integral(A: WeightVector) -> tuple[float, float]:
+    """(B(center|A), a proved bound on its error), from
+    B(center) = (1/pi) int_0^inf prod sinc(a_k t/2) dt.
+
+    [0, T] is integrated by Gauss-Legendre panels of _PANEL_NODES nodes,
+    each bounded by Trefethen's Thm 19.3 on a Bernstein ellipse; the tail
+    past T by a majorant (_tail_cutoff); round-off by gamma(nodes + n + 5).
+    The error aims at _INTEGRAL_TOL.  Raises CapabilityError when that needs
+    more than _INTEGRAL_NODES nodes: at n <= 5, or with fewer than two
+    weights of the largest's order.
+    """
+    res = _center_integral(A.a)
+    if res is None:
+        raise CapabilityError(
+            f"center integral needs more than {_INTEGRAL_NODES} nodes for "
+            f"an error of {_INTEGRAL_TOL:g}; use truncated_power or fourier")
+    return res
+
+
+# ---------------------------------------------------------------------------
 # unified evaluation, section function, maximum
 
 
@@ -411,8 +533,13 @@ def phi(A: WeightVector, r: float, method: str = "auto") -> float:
 
 def max_value(A: WeightVector, method: str = "auto") -> tuple[float, float, str]:
     """(B(center|A), its stated error, the method used): B is symmetric and
-    log-concave, so its maximum is at the center.  Convolution states no
-    error and is charged _CONV_ALLOWANCE."""
+    log-concave, so its maximum is at the center.  From n = _INTEGRAL_FROM
+    on, auto takes center_integral unless that would exceed its node budget;
+    convolution states no error and is charged _CONV_ALLOWANCE."""
+    if method == "auto" and A.n >= _INTEGRAL_FROM:
+        res = _center_integral(A.a)
+        if res is not None:
+            return res[0], res[1], "center_integral"
     prof = density_profile(A, [center(A)], method)
     err = _CONV_ALLOWANCE if prof.tolerance is None else prof.tolerance
     return float(prof.values[0]), err, prof.method

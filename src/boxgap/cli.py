@@ -97,13 +97,15 @@ def _weights_from(args) -> WeightVector:
     return generate(FamilySpec("random", n, c0=c0, seed=seed))
 
 
-def _emit(args, json_text: str, csv_text: str | None = None) -> None:
+def _emit(args, payload, csv=None) -> None:
+    """Write payload as canonical JSON, or the text csv() for --format csv:
+    only the requested form is rendered."""
     if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
+        if csv is None:
             raise BoxgapError("this command has no CSV form; use --format json")
-        write_text(args.out, csv_text)
+        write_text(args.out, csv())
     else:
-        write_text(args.out, json_text)
+        write_text(args.out, dumps_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +124,8 @@ def cmd_eval(args) -> int:
     else:
         grid = np.array([center(A) if args.at == "center" else args.at])
     prof = density_profile(A, grid, method=args.method)
-    _emit(args, dumps_json(prof),
-          dumps_csv(("x", "value", "method"), prof.to_csv_rows()))
+    _emit(args, prof,
+          lambda: dumps_csv(("x", "value", "method"), prof.to_csv_rows()))
     return EXIT_OK
 
 
@@ -131,21 +133,21 @@ def cmd_phi(args) -> int:
     A = _weights_from(args)
     r = 0.0 if args.r == "center" else args.r
     value = phi(A, r, method=args.method)
-    _emit(args, dumps_json({"A": A.to_json(), "r": r, "phi": value,
-                            "method": args.method}))
+    _emit(args, {"A": A.to_json(), "r": r, "phi": value,
+                 "method": args.method})
     return EXIT_OK
 
 
 def cmd_expect(args) -> int:
     A = _weights_from(args)
     summary = expectation(A, args.method, args.samples, args.seed)
-    _emit(args, dumps_json(summary))
+    _emit(args, summary)
     return EXIT_OK
 
 
 def cmd_fbound(args) -> int:
     value, err = f_function(args.s, tol=args.tol)
-    _emit(args, dumps_json({"s": args.s, "f": value, "quad_error": err}))
+    _emit(args, {"s": args.s, "f": value, "quad_error": err})
     return EXIT_OK
 
 
@@ -153,7 +155,7 @@ def cmd_gap(args) -> int:
     A = _weights_from(args)
     report = gap_report(A, phi_method=args.method, seed=args.seed)
     if not report.violates(args.tol):
-        _emit(args, dumps_json(report))
+        _emit(args, report)
         return EXIT_OK
     confirmed, reports = confirm_counterexample(A, args.tol)
     record = {
@@ -161,7 +163,7 @@ def cmd_gap(args) -> int:
         "confirmed": confirmed,
         "reports": [r.to_json_dict() for r in reports],
     }
-    _emit(args, dumps_json(record))
+    _emit(args, record)
     return EXIT_VIOLATION if confirmed else EXIT_OK
 
 
@@ -176,26 +178,24 @@ def cmd_scan(args) -> int:
     rows: list[tuple] = []
     summary = scan_random(args.n, args.c0, args.trials, args.seed,
                                  collect=rows.append)
-    csv_text = dumps_csv(("trial", "gap", "ratio"), rows)
-    _emit(args, dumps_json(summary), csv_text)
+    _emit(args, summary, lambda: dumps_csv(("trial", "gap", "ratio"), rows))
     return _exit_for(summary.min_report, args.tol)
 
 
 def cmd_minimize(args) -> int:
     start = _weights_from(args)
     report, exhausted = minimize_gap(args.c0, start, budget=args.budget)
-    _emit(args, dumps_json({"report": report.to_json_dict(),
-                            "budget_exhausted": exhausted}))
+    _emit(args, {"report": report.to_json_dict(),
+                 "budget_exhausted": exhausted})
     return _exit_for(report, args.tol)
 
 
 def cmd_probe(args) -> int:
     report = threshold_probe(args.c0, args.family, args.n,
                              args.trials, args.seed, args.tol)
-    csv_text = dumps_csv(
+    _emit(args, report, lambda: dumps_csv(
         ("n", "min_gap", "min_slack", "slack_tol"),
-        ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in report.rows))
-    _emit(args, dumps_json(report), csv_text)
+        ((r.n, r.min_gap, r.min_slack, r.slack_tol) for r in report.rows)))
     return EXIT_OK
 
 
@@ -207,14 +207,14 @@ def cmd_converge(args) -> int:
     else:
         raise BoxgapError(f"converge supports equal/geometric, not {args.family!r}")
     reports = convergence_report(specs, points=args.points)
-    rows = [(r.n, r.sup_distance, r.l2_distance, "/".join(r.method_pair))
-            for r in reports]
     payload = [{"n": r.n, "sup_distance": r.sup_distance,
                 "l2_distance": r.l2_distance,
                 "method_pair": list(r.method_pair), "grid": r.grid}
                for r in reports]
-    _emit(args, dumps_json(payload),
-          dumps_csv(("n", "sup_distance", "l2_distance", "pair"), rows))
+    _emit(args, payload, lambda: dumps_csv(
+        ("n", "sup_distance", "l2_distance", "pair"),
+        ((r.n, r.sup_distance, r.l2_distance, "/".join(r.method_pair))
+         for r in reports)))
     return EXIT_OK
 
 

@@ -26,7 +26,15 @@ def format_float(x: float) -> str:
 
 def _emit(obj: Any, out: list[str]) -> None:
     # json.dumps would bypass a float subclass repr in its C encoder, so the
-    # (small) report trees are walked here instead
+    # (small) report trees are walked here instead.  Exact floats, alone or
+    # in plain lists (a profile's grid and values), skip the ABC checks;
+    # float subclasses and numpy scalars take the generic path
+    if type(obj) is float:
+        out.append(format_float(obj))
+        return
+    if type(obj) is list and all(type(v) is float for v in obj):
+        out.append("[" + ",".join(map(format_float, obj)) + "]")
+        return
     if hasattr(obj, "to_json_dict"):
         obj = obj.to_json_dict()
     if isinstance(obj, dict):

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxgap import boxspline
+from boxgap._num import gl_panels
 from boxgap.boxspline import (
     _CONV_ALLOWANCE,
     TRUNCATED_POWER_CAP,
+    center_integral,
     density_profile,
     eval_convolution,
     fourier_values,
@@ -295,12 +298,18 @@ def test_exported_values_floor_is_stated_tolerance():
 
 def test_max_value_center_identity():
     # one evaluation at the center: the correctly rounded value, half an ulp
-    for n, seed in [(3, 5), (9, 6), (16, 7)]:
+    for n, seed in [(3, 5), (9, 6), (13, 8)]:
         A = _random_A(n, seed=seed)
         value, err, method = max_value(A)
         assert value == truncated_power_raw(A.a, center(A))
         assert err == math.ulp(value) / 2.0
         assert method == "truncated_power"
+    # from n = 14 on, the center integral with its proved error
+    A = _random_A(16, seed=7)
+    value, err, method = max_value(A)
+    assert abs(value - truncated_power_raw(A.a, center(A))) <= err
+    assert err <= 1e-12
+    assert method == "center_integral"
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -326,7 +335,7 @@ def test_max_value_keeps_no_table():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        max_value(A)
+        max_value(A, "truncated_power")
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -340,11 +349,110 @@ def test_max_value_memory_stays_small():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        max_value(A)
+        max_value(A, "truncated_power")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - before <= 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the center integral
+
+
+def test_center_integral_within_error_of_irwin_hall():
+    # equal weights w: B(n w/2) is an exact Irwin-Hall sum of rationals
+    for n in range(6, 201):
+        A = generate(FamilySpec("equal", n))
+        w = float(A.a[0])
+        exact = _equal_oracle(n, w, n * Fraction(w) / 2)
+        value, err = center_integral(A)
+        assert abs(Fraction(value) - exact) <= Fraction(err), n
+        # round-off grows with the node count, largest at n = 6
+        assert err <= 1e-11, n
+
+
+@pytest.mark.parametrize("n", range(14, TRUNCATED_POWER_CAP + 1))
+def test_center_integral_agrees_with_sweep(n):
+    # random, equal and vertex vectors (m weights 1, the rest c0 = 4)
+    m = n // 3
+    for A in (_random_A(n, seed=70 + n), generate(FamilySpec("equal", n)),
+              make_unit([1.0] * m + [4.0] * (n - m))):
+        value, err = center_integral(A)
+        exact, exact_err, _ = max_value(A, "truncated_power")
+        assert abs(value - exact) <= err + exact_err
+        assert err <= 1e-12
+        assert max_value(A) == (value, err, "center_integral")
+
+
+def test_center_integral_refusals():
+    # the t^(1-n) tail needs more nodes than the budget at n <= 5, and so
+    # does a vector with fewer than two weights of the largest's order;
+    # max_value(auto) then takes truncated power
+    for A in (_random_A(5, seed=3), make_unit([1e-300] * 13 + [1.0])):
+        with pytest.raises(CapabilityError, match="center integral"):
+            center_integral(A)
+    A = make_unit([1e-300] * 13 + [1.0])
+    assert max_value(A) == max_value(A, "truncated_power")
+    # a single tiny weight is dropped from the tail bound
+    value, err, method = max_value(make_unit([1e-300] + [1.0] * 15))
+    assert method == "center_integral" and err <= 1e-12
+
+
+def test_center_integral_panels_fit_the_bound(monkeypatch):
+    # the Gauss error is far below its bound, so no value shows a panel
+    # wider than the bound assumes: check the panels themselves.  Each
+    # half-width eta must keep the ellipse's height y = eta (rho - 1/rho)/2
+    # at y sum(a)/2 <= 1
+    seen = []
+
+    def record(edges, order):
+        seen.append((np.array(edges), order))
+        return gl_panels(edges, order)
+
+    monkeypatch.setattr(boxspline, "gl_panels", record)
+    N = boxspline._PANEL_NODES
+    rho = (1e-3 * boxspline._INTEGRAL_TOL) ** (-1.0 / (2 * N))
+    for A in (_random_A(14, seed=5), _random_A(40, seed=6),
+              generate(FamilySpec("equal", 20))):
+        seen.clear()
+        center_integral(A)
+        (edges, order), = seen
+        eta = np.diff(edges) / 2.0
+        assert order == N and edges[0] == 0.0
+        assert np.all(eta * (rho - 1.0 / rho) / 2.0 * A.total / 2.0
+                      <= 1.0 + 1e-12)
+
+
+def test_tail_bound_covers_the_tail():
+    # int_T^inf |prod sinc(a_k t/2)| dt by dense Gauss-Legendre panels up to
+    # 40 T, plus the majorant prod 2/(a_k t) past it, stays under the bound
+    for A in (_random_A(6, seed=2), _random_A(14, seed=3),
+              _random_A(26, seed=4),
+              make_unit([1.0] * 13 + [20.0])):
+        a = A.a
+        T, bound = boxspline._tail_cutoff(a, 1e-10, 1e4)
+        z, w = gl_panels(np.linspace(T, 40.0 * T, 4000), 8)
+        body = float(w @ np.abs(np.prod(np.sinc(np.outer(z, a) / (2 * np.pi)),
+                                        axis=1)))
+        far = math.prod(2.0 / a) * (40.0 * T) ** (1 - a.size) / (a.size - 1)
+        assert body + far <= bound
+        assert bound <= 1e-10
+
+
+def test_center_integral_memory_bounded_at_large_n():
+    # nodes x weights products are formed in blocks of about 2^20; at
+    # n = 1000 the whole matrix would take about 32 MB per array
+    A = _random_A(1000, seed=33)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value, err = center_integral(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 32 * 2**20
+    assert 0.0 < err <= 1e-12
 
 
 def test_phi_far_from_center_positive_small():

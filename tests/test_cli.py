@@ -71,6 +71,26 @@ def test_eval_csv(capsys):
     assert len(lines) == 4
 
 
+def test_json_output_builds_no_csv(capsys, monkeypatch):
+    # only the requested form is rendered: a CSV writer that fails cannot
+    # touch a JSON run, and the JSON writer is not called for CSV
+    def broken(*args, **kwargs):
+        raise RuntimeError("rendered an unrequested form")
+
+    monkeypatch.setattr(cli, "dumps_csv", broken)
+    for argv in (["eval", "--random", "8,4,1", "--grid", "0:2:0.0005"],
+                 ["scan", "--n", "6", "--c0", "4", "--trials", "2"],
+                 ["probe", "--c0", "2", "--n", "3..4"],
+                 ["converge", "--n", "8,16"]):
+        d = run_json(capsys, *argv, "--format", "json")
+        assert d
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "dumps_json", broken)
+    code, out, _ = run(capsys, "eval", "--weights", "1", "--grid", "0:1:0.5",
+                       "--format", "csv")
+    assert code == EXIT_OK and out.startswith("x,value,method\n")
+
+
 # ---------------------------------------------------------------------------
 # phi / expect / fbound
 

@@ -87,6 +87,28 @@ def test_equality_cases_never_violate(A):
     assert abs(r.gap) <= 1e-14
 
 
+@pytest.mark.parametrize("n", range(14, 31))
+def test_flat_region_never_violates_at_large_n(n):
+    # the flat region at the sizes where phi0 comes from the center
+    # integral: the exact gap is 0, and the stated tolerance must cover it
+    rng = np.random.default_rng(n)
+    for t in (0.0, 0.3, 2.0):
+        for lo, hi in ((0.5, 2.0), (1.0, 10.0), (1e-3, 1e3)):
+            rest = list(rng.uniform(lo, hi, n - 1))
+            r = gap(make_unit(rest + [(1.0 + t) * math.fsum(rest)]))
+            assert not r.violates(0.0), (t, lo, r.gap, r.tolerance)
+            assert abs(r.gap) <= r.tolerance, (t, lo, r.gap, r.tolerance)
+
+
+def test_one_tiny_weight_takes_the_integral():
+    # one weight of 1e-300 among 15 equal ones: the exact sweep works on
+    # 1000-bit integers there, the center integral drops the factor
+    r = gap(make_unit([1e-300] + [1.0] * 15))
+    assert r.phi_method == "center_integral"
+    assert abs(r.gap - gap(generate(FamilySpec("equal", 15))).gap) <= 1e-12
+    assert 0.0 < r.tolerance <= 1e-12
+
+
 def test_gap_report_states_f_bound():
     A = generate(FamilySpec("random", 7, c0=3.0, seed=2))
     r = gap(A, f_tol=1e-6)
@@ -117,7 +139,7 @@ def test_gap_mc_path():
     A = generate(FamilySpec("random", ENUM_CAP + 1, c0=2.0, seed=1))
     r = gap(A, seed=5)
     assert r.exp_method == "monte_carlo"
-    assert r.phi_method == "fourier"
+    assert r.phi_method == "center_integral"
     assert r.gap >= -r.tolerance
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import numbers
+import random
 
 import numpy as np
 import pytest
@@ -41,3 +43,50 @@ def test_dumps_csv():
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+
+
+def _generic(obj) -> str:
+    """The canonical form by the ABC walk alone: the oracle for dumps_json."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _generic(obj[k])
+                              for k in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_generic, obj)) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    return format_float(obj)
+
+
+class _Sub(float):
+    def __repr__(self):
+        return "not a float"
+
+
+def test_dumps_json_fast_path_matches_generic_walk():
+    rng = random.Random(5)
+    leaves = [lambda: rng.uniform(-1e3, 1e3), lambda: _Sub(rng.random()),
+              lambda: np.float64(rng.random() * 1e-300), lambda: -0.0,
+              lambda: rng.randrange(-9, 9), lambda: np.int64(7),
+              lambda: rng.random() < 0.5, lambda: None]
+
+    def tree(depth):
+        kind = rng.randrange(5 if depth else 2)
+        if kind == 0:
+            return rng.choice(leaves)()
+        if kind == 1:  # a plain list of exact floats, or mixed leaves
+            return [rng.choice(leaves[:1] if rng.random() < 0.5 else leaves)()
+                    for _ in range(rng.randrange(6))]
+        if kind == 2:
+            return tuple(tree(depth - 1) for _ in range(rng.randrange(4)))
+        if kind == 3:
+            return [tree(depth - 1) for _ in range(rng.randrange(4))]
+        return {f"k{i}": tree(depth - 1) for i in range(rng.randrange(4))}
+
+    for _ in range(300):
+        obj = {"root": tree(4)}
+        assert dumps_json(obj) == _generic(obj) + "\n"
+    for bad in ([0.5, math.inf], math.nan, {"x": [1.0, -math.inf]}):
+        with pytest.raises(ValidationError):
+            dumps_json(bad)
