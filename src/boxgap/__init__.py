@@ -11,7 +11,6 @@ from .boxspline import (
     TRUNCATED_POWER_CAP,
     DensityProfile,
     FourierResult,
-    center_integral,
     density_profile,
     eval_convolution,
     fourier_values,
@@ -70,7 +69,6 @@ __all__ = [
     "WeightVector", "FamilySpec", "make_unit", "generate", "center", "ratio",
     "TRUNCATED_POWER_CAP", "DensityProfile", "FourierResult",
     "truncated_power_raw", "eval_convolution", "fourier_values",
-    "center_integral",
     "density_profile", "phi", "max_value", "section_volume_mc",
     "GAUSS_PEAK", "cgf", "cgf_derivs", "SaddleSolution", "solve_saddle",
     "saddle_density", "gaussian_limit", "ConvergenceReport",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from ._num import fsum, gl_panels
+from ._num import fsum, gauss_legendre, gl_panels
 from .errors import CapabilityError, DomainError, NumericalError, ValidationError
 from .weights import WeightVector, center
 
@@ -37,6 +37,7 @@ _INTEGRAL_FROM = 14  # max_value(auto) takes center_integral from this n on
 _INTEGRAL_TOL = 1e-13  # the error center_integral aims at
 _INTEGRAL_NODES = 2**16  # node budget of center_integral
 _PANEL_NODES = 24  # Gauss-Legendre nodes per panel
+_GL_WEIGHT_ERR = 16 * _U  # bound on leggauss(_PANEL_NODES)'s weight errors
 _SINC_SWITCH = 2.0794  # the tail majorant of |sinc u| is 1/u past this u
 _TAIL_RATIO = 1.01  # geometric step of the tail bound's grid
 _TAIL_STEPS = 3000  # at most this many steps ...
@@ -386,32 +387,39 @@ def fourier_values(A: WeightVector, xs) -> FourierResult:
 # the center value as one integral with a proved error
 
 
+def _log_majorant(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log g(t) for t > 0 and ascending a, where g(t) = prod b(a_k t/2) with
+    b(u) = exp(-u^2/6) for u <= _SINC_SWITCH and 1/u beyond: b is a
+    nonincreasing majorant of |sinc u| (log sinc has only negative Taylor
+    coefficients below pi), so g is one of |prod sinc(a_k t/2)|."""
+    n = a.size
+    sq = np.concatenate(([0.0], np.cumsum(a * a)))
+    lg = np.concatenate(([0.0], np.cumsum(np.log(a))))
+    s = np.searchsorted(a, 2.0 * _SINC_SWITCH / t, side="right")  # Gaussian
+    return -t**2 / 24.0 * sq[s] - (lg[n] - lg[s]) - (n - s) * np.log(0.5 * t)
+
+
 def _tail_cutoff(a: np.ndarray, target: float, t_max: float) -> tuple[float, float] | None:
     """(T, bound): the least T <= t_max on a geometric grid whose bound on
     int_T^inf |f| is at most target, for f(t) = prod sinc(a_k t/2); None if
     no such T exists.
 
-    b(u) = exp(-u^2/6) for u <= _SINC_SWITCH and 1/u beyond is a
-    nonincreasing majorant of |sinc u| (log sinc has only negative Taylor
-    coefficients below pi), so g(t) = prod b(a_k t/2) is one of |f|.  The
-    integral over [T, t_cut] is bounded by the upper Riemann sum of g at the
-    left ends of the grid steps, and the one past t_cut by
+    The integral over [T, t_cut] is bounded by the upper Riemann sum of the
+    majorant g (_log_majorant) at the left ends of the grid steps, and the
+    one past t_cut by
     int prod_(k in S) 2/(a_k t) = prod_S (2/a_k) t_cut^(1-|S|)/(|S| - 1)
     with S = {k : a_k t_cut >= 2}: the other factors are at most 1 and are
     dropped, so a tiny weight does not push t_cut out.  The best cut at or
     beyond each T is taken.
     """
     n = a.size
-    sq = np.concatenate(([0.0], np.cumsum(a * a)))
     lg = np.concatenate(([0.0], np.cumsum(np.log(a))))
-    t0 = 0.5 * math.sqrt(24.0 * math.log(2.0 / target) / sq[-1])
+    t0 = 0.5 * math.sqrt(24.0 * math.log(2.0 / target) / float(a @ a))
     t_end = max(t_max, min(2.0 * _SINC_SWITCH / a[0], _TAIL_SPAN * t_max))
     steps = min(max(math.ceil(math.log(t_end / t0) / math.log(_TAIL_RATIO)), 1),
                 _TAIL_STEPS)
     tau = t0 * _TAIL_RATIO ** np.arange(steps + 1)
-    # log g: factors with u <= _SINC_SWITCH are Gaussian, the rest 1/u
-    s = np.searchsorted(a, 2.0 * _SINC_SWITCH / tau, side="right")
-    log_g = -tau**2 / 24.0 * sq[s] - (lg[n] - lg[s]) - (n - s) * np.log(0.5 * tau)
+    log_g = _log_majorant(a, tau)
     before = np.concatenate(([0.0], np.cumsum(np.diff(tau) * np.exp(log_g[:-1]))))
     c = n - np.searchsorted(a, 2.0 / tau, side="left")  # |S| at each cut
     log_c = (c * math.log(2.0) - (lg[n] - lg[n - c]) - (c - 1) * np.log(tau)
@@ -425,8 +433,18 @@ def _tail_cutoff(a: np.ndarray, target: float, t_max: float) -> tuple[float, flo
     return float(tau[ok[0]]), float(tail[ok[0]])
 
 
-def _center_integral(a: np.ndarray) -> tuple[float, float] | None:
-    """(B(center), its bound) as in center_integral; None past the node budget."""
+def center_integral(A: WeightVector) -> tuple[float, float]:
+    """(B(center|A), a proved bound on its error), from
+    B(center) = (1/pi) int_0^inf prod sinc(a_k t/2) dt.
+
+    [0, T] is integrated by Gauss-Legendre panels of _PANEL_NODES nodes,
+    each bounded by Trefethen's Thm 19.3 on a Bernstein ellipse; the tail
+    past T by a majorant (_tail_cutoff); round-off as set out below.  The
+    error aims at _INTEGRAL_TOL.  Raises CapabilityError when that needs
+    more than _INTEGRAL_NODES nodes: at n <= 5, or with fewer than two
+    weights of the largest's order.
+    """
+    a = A.a
     n = a.size
     total = float(np.sum(a))
     N = _PANEL_NODES
@@ -437,18 +455,22 @@ def _center_integral(a: np.ndarray) -> tuple[float, float] | None:
     cut = _tail_cutoff(a, 0.5 * np.pi * _INTEGRAL_TOL,
                        2.0 * eta0 * (_INTEGRAL_NODES // N))
     if cut is None:
-        return None
+        raise CapabilityError(
+            f"center integral needs more than {_INTEGRAL_NODES} nodes for "
+            f"an error of {_INTEGRAL_TOL:g}; use truncated_power or fourier")
     T, tail_err = cut
     panels = math.ceil(T / (2.0 * eta0))
     eta = T / (2.0 * panels)
     y = 0.5 * eta * (rho - 1.0 / rho)
     x_min = (2.0 * np.arange(panels) + 1.0) * eta - 0.5 * eta * (rho + 1.0 / rho)
-    z, w = gl_panels(np.linspace(0.0, T, panels + 1), N)
+    edges = np.linspace(0.0, T, panels + 1)
+    z, w = gl_panels(edges, N)
     v = 0.5 * y * a
     log_cosh = v + np.log1p(np.exp(-2.0 * v)) - math.log(2.0)
     log_half_a = np.log(0.5 * a)
     # sin(u)/u rounds to 1 for u < 2^-27, and such factors are left out
-    h = 0.5 * a[a * T >= 2.0**-26]
+    used = a[a * T >= 2.0**-26]
+    h = 0.5 * used
     # blocks of about 2^20 (weight, node) pairs, whole panels each
     step = max(1, 2**20 // (N * n))
     wf = np.empty(z.size)
@@ -467,29 +489,30 @@ def _center_integral(a: np.ndarray) -> tuple[float, float] | None:
     # Trefethen, ATAP Thm 19.3, with N - 1 in place of N in the exponent
     quad_err = ((64.0 / 15.0) * rho ** (-2 * (N - 1)) / (rho**2 - 1.0) * eta
                 * float(np.sum(np.exp(log_m))))
-    # a correctly rounded sum of z.size terms, each a product of n + 5
-    # rounded factors
-    round_err = _gamma(z.size + n + 5) * float(np.sum(np.abs(wf)))
-    return fsum(wf) / np.pi, float(tail_err + quad_err + round_err) / np.pi
-
-
-def center_integral(A: WeightVector) -> tuple[float, float]:
-    """(B(center|A), a proved bound on its error), from
-    B(center) = (1/pi) int_0^inf prod sinc(a_k t/2) dt.
-
-    [0, T] is integrated by Gauss-Legendre panels of _PANEL_NODES nodes,
-    each bounded by Trefethen's Thm 19.3 on a Bernstein ellipse; the tail
-    past T by a majorant (_tail_cutoff); round-off by gamma(nodes + n + 5).
-    The error aims at _INTEGRAL_TOL.  Raises CapabilityError when that needs
-    more than _INTEGRAL_NODES nodes: at n <= 5, or with fewer than two
-    weights of the largest's order.
-    """
-    res = _center_integral(A.a)
-    if res is None:
-        raise CapabilityError(
-            f"center integral needs more than {_INTEGRAL_NODES} nodes for "
-            f"an error of {_INTEGRAL_TOL:g}; use truncated_power or fourier")
-    return res
+    total_wf = fsum(wf)
+    # Round-off, against the exact Gauss rule on the float edges:
+    # * the correctly rounded sum, np.pi and the division: 3u |sum|;
+    # * each term's relative rounding: per factor sin (one ulp) and the
+    #   division, the n - 1 products, the weight's two roundings; a factor
+    #   left out is 1 within u/24: gamma(4n + 2) sum |w f|;
+    # * leggauss's weights on [-1, 1] are within _GL_WEIGHT_ERR of the exact
+    #   ones (absolute; the end ones are 13u, about 1e3 u relatively, off), scaled
+    #   by the half-width: _GL_WEIGHT_ERR sum |w_i f_i| / w_j(i);
+    # * leggauss's nodes are within 2u, so a computed node is within
+    #   7u hi of the exact one (hi the upper edge of its panel) and h_k z
+    #   rounds once more: every argument/h_k is off by at most d = 8u hi.
+    #   |sinc'| <= 1.5 b, so d moves the product by at most
+    #   1.5 d sum(h) g(z - d), with g the majorant over the factors used.
+    hi = np.repeat(edges[1:], N)
+    d = 8.0 * _U * hi
+    w_ref = gauss_legendre(N)[1]
+    round_err = (3.0 * _U * abs(total_wf)
+                 + _gamma(4 * n + 2) * float(np.sum(np.abs(wf)))
+                 + _GL_WEIGHT_ERR * float(np.sum(np.abs(wf).reshape(panels, N)
+                                                 / w_ref))
+                 + 1.5 * float(np.sum(h)) * float(
+                     np.sum(w * d * np.exp(_log_majorant(used, z - d)))))
+    return total_wf / np.pi, float(tail_err + quad_err + round_err) / np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +560,12 @@ def max_value(A: WeightVector, method: str = "auto") -> tuple[float, float, str]
     on, auto takes center_integral unless that would exceed its node budget;
     convolution states no error and is charged _CONV_ALLOWANCE."""
     if method == "auto" and A.n >= _INTEGRAL_FROM:
-        res = _center_integral(A.a)
-        if res is not None:
-            return res[0], res[1], "center_integral"
+        try:
+            value, err = center_integral(A)
+        except CapabilityError:
+            pass
+        else:
+            return value, err, "center_integral"
     prof = density_profile(A, [center(A)], method)
     err = _CONV_ALLOWANCE if prof.tolerance is None else prof.tolerance
     return float(prof.values[0]), err, prof.method

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +423,45 @@ def test_center_integral_panels_fit_the_bound(monkeypatch):
         assert order == N and edges[0] == 0.0
         assert np.all(eta * (rho - 1.0 / rho) / 2.0 * A.total / 2.0
                       <= 1.0 + 1e-12)
+
+
+def test_gauss_legendre_within_the_charged_round_off():
+    # center_integral charges leggauss's nodes 2u and its weights
+    # _GL_WEIGHT_ERR (absolute, on [-1, 1]); check both against the roots
+    # of P_24 and 2/((1 - x^2) P_24'(x)^2) to 40 digits
+    N = boxspline._PANEL_NODES
+    x, w = boxspline.gauss_legendre(N)
+
+    def legendre(t):
+        p0, p1 = Decimal(1), t
+        for k in range(1, N):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        return p1, N * (t * p1 - p0) / (t * t - 1)
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for xi, wi in zip(x, w):
+            t = Decimal(float(xi))
+            for _ in range(6):
+                p, dp = legendre(t)
+                t -= p / dp
+            p, dp = legendre(t)
+            exact_w = 2 / ((1 - t * t) * dp * dp)
+            assert abs(Decimal(float(xi)) - t) <= Decimal(2 * boxspline._U)
+            assert (abs(Decimal(float(wi)) - exact_w)
+                    <= Decimal(boxspline._GL_WEIGHT_ERR))
+
+
+def test_sinc_majorant_and_its_derivative():
+    # center_integral needs |sinc u| <= b(u) and |sinc'(u)| <= 1.5 b(u)
+    u = np.concatenate([np.linspace(1e-6, 10.0, 200001),
+                        np.geomspace(10.0, 1e6, 200001)])
+    b = np.exp(boxspline._log_majorant(np.array([2.0]), u))
+    sinc = np.sin(u) / u
+    dsinc = (u * np.cos(u) - np.sin(u)) / u**2
+    # a few ulps for the rounding of both sides
+    assert np.all(np.abs(sinc) <= b * (1.0 + 1e-15))
+    assert np.all(np.abs(dsinc) <= 1.5 * b)
 
 
 def test_tail_bound_covers_the_tail():
