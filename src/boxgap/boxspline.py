@@ -495,23 +495,26 @@ def center_integral(A: WeightVector) -> tuple[float, float]:
     # * each term's relative rounding: per factor sin (one ulp) and the
     #   division, the n - 1 products, the weight's two roundings; a factor
     #   left out is 1 within u/24: gamma(4n + 2) sum |w f|;
-    # * leggauss's weights on [-1, 1] are within _GL_WEIGHT_ERR of the exact
-    #   ones (absolute; the end ones are 13u, about 1e3 u relatively, off), scaled
-    #   by the half-width: _GL_WEIGHT_ERR sum |w_i f_i| / w_j(i);
+    # * leggauss's weights on [-1, 1] are within _GL_WEIGHT_ERR of the
+    #   exact ones (absolute: the end ones are 13u, about 1e3 u relatively,
+    #   off), and are scaled by the half-width: _GL_WEIGHT_ERR times
+    #   sum |w_i f_i| / w_j(i);
     # * leggauss's nodes are within 2u, so a computed node is within
     #   7u hi of the exact one (hi the upper edge of its panel) and h_k z
     #   rounds once more: every argument/h_k is off by at most d = 8u hi.
     #   |sinc'| <= 1.5 b, so d moves the product by at most
-    #   1.5 d sum(h) g(z - d), with g the majorant over the factors used.
-    hi = np.repeat(edges[1:], N)
-    d = 8.0 * _U * hi
-    w_ref = gauss_legendre(N)[1]
+    #   1.5 d sum(h) g(z - d), with g the majorant over the factors used;
+    #   g is nonincreasing and at most 1, so each panel takes g(lo - d) at
+    #   its lower edge lo, and 1 on the first panel.
+    g = np.concatenate(([1.0], np.exp(_log_majorant(
+        used, edges[1:-1] - 8.0 * _U * edges[2:]))))
+    size = np.abs(wf)
     round_err = (3.0 * _U * abs(total_wf)
-                 + _gamma(4 * n + 2) * float(np.sum(np.abs(wf)))
-                 + _GL_WEIGHT_ERR * float(np.sum(np.abs(wf).reshape(panels, N)
-                                                 / w_ref))
-                 + 1.5 * float(np.sum(h)) * float(
-                     np.sum(w * d * np.exp(_log_majorant(used, z - d)))))
+                 + _gamma(4 * n + 2) * float(np.sum(size))
+                 + _GL_WEIGHT_ERR * float(np.sum(size.reshape(panels, N)
+                                                 / gauss_legendre(N)[1]))
+                 + 12.0 * _U * float(np.sum(h))
+                 * float(np.sum(np.diff(edges) * edges[1:] * g)))
     return total_wf / np.pi, float(tail_err + quad_err + round_err) / np.pi
 
 
